@@ -8,20 +8,16 @@ in any one stage are visible in isolation.
 
 import pytest
 
-from repro import obs, profiling
+from repro import obs
 from repro.bench.generators.adders import ripple_adder_circuit
 from repro.bench.generators.multiplier import array_multiplier_circuit
 from repro.core.families import LogicFamily, build_family_cells
 from repro.core.library import build_library
-from repro.logic.npn import canonicalize_bits, clear_canonicalizer_memo
+from repro.logic.npn import clear_canonicalizer_memo
 from repro.synthesis.aig_array import aig_arrays
 from repro.synthesis.cuts import cut_set_for, enumerate_cuts
 from repro.synthesis.mapper import technology_map
-from repro.synthesis.matcher import (
-    ExhaustiveLibraryMatcher,
-    LibraryMatcher,
-    cut_function_table,
-)
+from repro.synthesis.matcher import LibraryMatcher
 from repro.synthesis.optimize import balance, optimize, rewrite
 
 
@@ -40,16 +36,8 @@ def test_bench_matcher_construction(benchmark):
     """Build the NPN-canonical match index of the static library."""
     library = build_library(LogicFamily.TG_STATIC)
     matcher = benchmark(LibraryMatcher, library)
-    # One entry per matched canonical class -- tiny compared to the
-    # pre-expanded tables (see test_bench_exhaustive_matcher_construction).
+    # One entry per matched canonical class, at most one per cell.
     assert 0 < len(matcher) <= len(library)
-
-
-def test_bench_exhaustive_matcher_construction(benchmark):
-    """Enumerate the permutation/phase match tables (reference matcher)."""
-    library = build_library(LogicFamily.TG_STATIC)
-    matcher = benchmark(ExhaustiveLibraryMatcher, library)
-    assert len(matcher) > 1000
 
 
 def test_bench_balance(benchmark, multiplier_aig):
@@ -98,29 +86,6 @@ def test_bench_matching_batch(benchmark, multiplier_aig, libraries, matchers):
     )
 
 
-def test_bench_matching_scalar(benchmark, multiplier_aig, libraries, matchers):
-    """Scalar oracle (``match_positions`` per distinct cut function) on the
-    same workload as ``test_bench_matching_batch``, memos cleared per round."""
-    matcher = matchers[LogicFamily.TG_STATIC]
-    arrays = aig_arrays(multiplier_aig)
-    cut_set = cut_set_for(multiplier_aig)
-    functions = cut_function_table(cut_set, arrays.and_nodes)
-    sizes = [int(v) for v in functions.sizes]
-    tables = [int(v) for v in functions.tables]
-
-    def run():
-        matcher.cache_clear()
-        canonicalize_bits.cache_clear()
-        hits = 0
-        for size, bits in zip(sizes, tables):
-            if matcher.match_positions(size, bits, prefer="delay") is not None:
-                hits += 1
-        return hits
-
-    hits = benchmark(run)
-    assert hits > 0
-
-
 def test_bench_mapping_only(benchmark, multiplier_aig, libraries, matchers):
     """Technology mapping alone (cuts + matching + covering) on an 8x8 multiplier."""
     library = libraries[LogicFamily.TG_STATIC]
@@ -138,13 +103,13 @@ def test_bench_obs_disabled_overhead(benchmark):
     stage+span+count triples.
     """
     obs.reset()  # both modes off: measure the path production runs on
-    assert not obs.tracing_active() and not profiling.active()
+    assert not obs.tracing_active() and not obs.profile_active()
 
     def hot_loop():
         for _ in range(1000):
-            with profiling.stage("bench-stage"):
+            with obs.stage("bench-stage"):
                 with obs.span("bench-span", category="task"):
-                    profiling.count("bench-counter")
+                    obs.count("bench-counter")
 
     benchmark(hot_loop)
     assert obs.spans() == []  # disabled: nothing may have been recorded

@@ -78,7 +78,7 @@ from repro.experiments.table3 import (
     Table3Row,
     _paper_row,
 )
-from repro import obs, profiling
+from repro import obs
 from repro.experiments import faults, resilience, shm
 from repro.flow import DEFAULT_FLOW, get_flow, resolve_flow, run_flow
 from repro.synthesis.aig import Aig
@@ -303,7 +303,7 @@ class ResultCache:
                 entry = json.load(handle)
         except (FileNotFoundError, NotADirectoryError):
             self.stats.misses += 1
-            profiling.count("cache.miss")
+            obs.count("cache.miss")
             return None
         except (OSError, ValueError):
             self._quarantine(path)
@@ -312,7 +312,7 @@ class ResultCache:
             # Foreign or older-schema content is stale, not corrupt; the
             # next put overwrites it in place.
             self.stats.misses += 1
-            profiling.count("cache.miss")
+            obs.count("cache.miss")
             return None
         payload = entry.get("payload")
         if (
@@ -323,7 +323,7 @@ class ResultCache:
             self._quarantine(path)
             return None
         self.stats.hits += 1
-        profiling.count("cache.hit")
+        obs.count("cache.hit")
         try:
             os.utime(path)  # LRU recency for size-based eviction
         except OSError:  # pragma: no cover - raced with an eviction
@@ -356,7 +356,7 @@ class ResultCache:
                     pass
                 raise
         self.stats.puts += 1
-        profiling.count("cache.put")
+        obs.count("cache.put")
         if self.max_bytes is not None:
             self._evict_to_budget()
 
@@ -387,7 +387,7 @@ class ResultCache:
     def _quarantine(self, path: Path) -> None:
         """Move a damaged entry aside (counted) instead of dropping it."""
         self.stats.corrupt += 1
-        profiling.count("cache.corrupt")
+        obs.count("cache.corrupt")
         quarantine = self.quarantine_dir()
         try:
             quarantine.mkdir(parents=True, exist_ok=True)
@@ -420,7 +420,7 @@ class ResultCache:
                 continue
             total -= size
             self.stats.evicted += 1
-            profiling.count("cache.evict")
+            obs.count("cache.evict")
 
 
 def _job_label(job) -> str:
@@ -508,8 +508,7 @@ def _worker_cache_footprint() -> dict[str, int]:
         "activity_reports": len(_ACTIVITY_REPORTS),
         "cut_cache_entries": sum(sizes.values()),
         "matcher_memos": (
-            sizes.get("matcher_positions_memo", 0)
-            + sizes.get("matcher_match_memo", 0)
+            sizes.get("matcher_match_memo", 0)
             + sizes.get("npn_batch_memo", 0)
         ),
         "match_tables": sizes.get("cutset_memos", 0),
@@ -534,7 +533,7 @@ def _subject_aig(benchmark: str, flow: str) -> Aig:
                 "use jobs=1) for parallel runs on spawn-based platforms"
             ) from error
         try:
-            with profiling.stage("optimize"):
+            with obs.stage("optimize"):
                 result = run_flow(flow, case.build())
         except KeyError as error:
             # Same re-import caveat for flows registered at run time.
@@ -609,7 +608,7 @@ def _run_map_job(transport: tuple) -> dict:
         activity_key = (benchmark, flow, power_vectors, power_seed)
         activities = _ACTIVITY_REPORTS.get(activity_key)
         if activities is None:
-            with profiling.stage("activity"):
+            with obs.stage("activity"):
                 activities = compute_activities(
                     aig, vectors=power_vectors, seed=power_seed
                 )
@@ -625,9 +624,9 @@ def _run_map_job(transport: tuple) -> dict:
             rounds=rounds,
             recovery=recovery,
         )
-        with profiling.stage("power"):
+        with obs.stage("power"):
             power = analyze_power(mapped, aig, library, activities)
-        if profiling.active():
+        if obs.profile_active():
             # Attribution-only stage: check the mapped netlist against the
             # subject AIG on a deterministic packed pattern set so
             # ``--profile`` reports where verification time would go.
@@ -638,7 +637,7 @@ def _run_map_job(transport: tuple) -> dict:
                 name: [seed.getrandbits(64) for _ in range(2)]
                 for name in aig.pi_names
             }
-            with profiling.stage("verify"):
+            with obs.stage("verify"):
                 if not verify_mapping(mapped, aig, patterns):  # pragma: no cover
                     raise RuntimeError(
                         f"mapped netlist of {aig.name!r} failed verification"

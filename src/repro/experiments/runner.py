@@ -132,7 +132,7 @@ import sys
 import time
 from dataclasses import replace
 
-from repro import obs, profiling
+from repro import obs
 from repro.analysis.activity import DEFAULT_SEED, DEFAULT_VECTORS
 from repro.bench.registry import register_blif_benchmark
 from repro.experiments.engine import ExperimentEngine
@@ -340,7 +340,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.trace or args.metrics_out or args.events_out:
         trace_run_id = obs.enable_tracing()
     if args.profile:
-        profiling.enable()
+        obs.enable_profile()
 
     retry_policy = RetryPolicy.from_env()
     if args.job_timeout is not None:
@@ -439,8 +439,8 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(engine.robustness_stats(), indent=2, sort_keys=True))
 
     if args.profile:
-        report = profiling.snapshot()
-        profiling.disable()
+        report = obs.profile_snapshot()
+        obs.disable_profile()
         rendered = json.dumps(report, indent=2, sort_keys=True)
         if args.profile_out is None:
             print("\nper-stage profile:")

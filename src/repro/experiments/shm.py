@@ -54,7 +54,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import obs, profiling
+from repro import obs
 from repro.experiments import faults
 from repro.synthesis.aig import Aig, _Node
 from repro.synthesis.aig_array import AigArrays, arrays_from_parts
@@ -92,7 +92,7 @@ def note_degraded() -> None:
     """Record one transport degradation (failed publish or attach)."""
     global _DEGRADED
     _DEGRADED += 1
-    profiling.count("shm.degraded")
+    obs.count("shm.degraded")
     obs.event("shm.degraded")
 
 
@@ -148,7 +148,7 @@ def reap_stale_segments(max_age: float | None = None) -> int:
             continue
         reaped += 1
     if reaped:
-        profiling.count("shm.reaped", reaped)
+        obs.count("shm.reaped", reaped)
     return reaped
 
 

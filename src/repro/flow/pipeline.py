@@ -279,17 +279,3 @@ register_flow(
         max_rounds=6,
     )
 )
-# The oracle variant of the paper's flow, built from the reference passes.
-# Pinned to produce the identical AIG to ``resyn2rs`` (the CI fast lane and
-# the parity tests compare the two run for run); never used by experiments,
-# so it shares no fingerprint with -- and cannot invalidate -- cached
-# ``resyn2rs`` artifacts.
-register_flow(
-    FlowSpec(
-        name="resyn2rs-reference",
-        description="resyn2rs built from the reference passes (parity oracle)",
-        prologue=("balance_reference",),
-        round_passes=("rewrite_reference", "balance_reference"),
-        max_rounds=3,
-    )
-)

@@ -5,8 +5,9 @@ surface of the engine:
 
 * :mod:`repro.obs.tracer` -- the hierarchical span tracer (run -> job ->
   pass -> round -> stage), named counters and the per-stage accumulators
-  the :mod:`repro.profiling` shim reports; includes the cross-process
-  blob protocol that ships worker-side telemetry back inside job payloads.
+  ``--profile`` reports (:func:`enable_profile`, :func:`profile_snapshot`);
+  includes the cross-process blob protocol that ships worker-side telemetry
+  back inside job payloads.
 * :mod:`repro.obs.chrome` -- Chrome trace-event JSON export (Perfetto /
   ``about:tracing``), one track per process.
 * :mod:`repro.obs.metrics` -- log-bucketed latency histograms

@@ -45,7 +45,10 @@ class LiveProgress:
         self.retried = 0
         self.failed = 0
         self.degraded = 0
-        self._last_render = 0.0
+        # -inf, not 0.0: ``time.monotonic()`` has an arbitrary origin (often
+        # host uptime), so only an infinitely old "last render" guarantees
+        # the first render goes through.
+        self._last_render = float("-inf")
         self._dirty = False
 
     # -- feed ---------------------------------------------------------------

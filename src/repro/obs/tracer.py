@@ -11,11 +11,10 @@ Every span carries monotonic-quality timestamps (epoch-anchored start,
 ``perf_counter``-measured duration), the recording ``pid``/``tid``, free-form
 key/value attributes (node counts, cache keys, retry attempts) and a list
 of point-in-time *events* (retries, crashes, degradations).  Alongside the
-spans the tracer keeps named counters and the legacy per-stage second
-accumulators, which is what lets :mod:`repro.profiling` stay a thin shim:
-``profiling.stage``/``profiling.count`` delegate here, and the disabled
-path remains a single module-attribute read (pinned by the component
-micro-benchmark).
+spans the tracer keeps named counters and the per-stage second
+accumulators behind ``--profile``: the pipeline's :func:`stage` and
+:func:`count` call sites feed both, and the disabled path remains a single
+module-attribute read (pinned by the component micro-benchmark).
 
 Two independent switches share the machinery:
 
@@ -62,8 +61,8 @@ _REMOTE = False
 
 _RUN_ID: str | None = None
 
-# Span storage (completed spans, in completion order) plus the legacy
-# per-stage accumulators the profiling shim reports.
+# Span storage (completed spans, in completion order) plus the per-stage
+# accumulators ``--profile`` reports.
 _SPANS: list["SpanRecord"] = []
 _COUNTERS: dict[str, float] = {}
 _STAGE_SECONDS: dict[str, float] = {}
@@ -299,8 +298,8 @@ def span(name: str, category: str = "task", **attributes) -> Iterator[SpanHandle
 def stage(name: str) -> Iterator[None]:
     """Accumulate the wall-clock time of a pipeline stage.
 
-    The unit behind ``repro.profiling.stage``: always feeds the per-stage
-    seconds/entries accumulators, and additionally records a ``stage``
+    Always feeds the per-stage seconds/entries accumulators of
+    ``--profile``, and additionally records a ``stage``
     category span when trace mode is on.  One attribute read when disabled.
     """
     if not ENABLED:
@@ -395,9 +394,9 @@ def counters() -> dict[str, float]:
 def profile_snapshot() -> dict:
     """The accumulated per-stage figures (stable key order).
 
-    The exact shape :func:`repro.profiling.snapshot` has always returned;
-    integral counters are emitted as ints so existing JSON consumers see
-    unchanged payloads.
+    The ``--profile`` report shape (``stages``/``entries``/``counters``/
+    ``total_seconds``); integral counters are emitted as ints so existing
+    JSON consumers see unchanged payloads.
     """
     with _LOCK:
         return {

@@ -11,9 +11,8 @@ self-contained flow:
   benchmark generators (named signals, word-level helpers);
 * :mod:`repro.synthesis.blif` -- BLIF import/export;
 * :mod:`repro.synthesis.optimize` -- technology-independent optimization
-  (balancing and cut-based rewriting, our stand-in for ``resyn2rs``; the
-  array-backed fast passes are pinned node-for-node to the retained
-  ``*_reference`` oracles);
+  (array-backed balancing and cut-based rewriting, our stand-in for
+  ``resyn2rs``);
 * :mod:`repro.synthesis.rewrite_lib` -- the NPN-class rewrite library of
   compiled SOP cover programs backing the fast ``rewrite`` pass;
 * :mod:`repro.synthesis.cuts` -- k-feasible priority-cut enumeration with cut
@@ -33,16 +32,10 @@ from repro.synthesis.aig import Aig, AigLiteral
 from repro.synthesis.builder import CircuitBuilder
 from repro.synthesis.blif import read_blif, write_blif
 from repro.synthesis.cost import CostModel, cost_model_for, register_cost_model
-from repro.synthesis.optimize import (
-    optimize,
-    balance,
-    balance_reference,
-    rewrite,
-    rewrite_reference,
-)
+from repro.synthesis.optimize import optimize, balance, rewrite
 from repro.synthesis.cuts import enumerate_cuts
 from repro.synthesis.rewrite_lib import REWRITE_LIBRARY, RewriteLibrary
-from repro.synthesis.matcher import ExhaustiveLibraryMatcher, LibraryMatcher
+from repro.synthesis.matcher import LibraryMatcher
 from repro.synthesis.mapper import (
     MappedCircuit,
     MappingResult,
@@ -59,14 +52,11 @@ __all__ = [
     "write_blif",
     "optimize",
     "balance",
-    "balance_reference",
     "rewrite",
-    "rewrite_reference",
     "REWRITE_LIBRARY",
     "RewriteLibrary",
     "cost_model_for",
     "enumerate_cuts",
-    "ExhaustiveLibraryMatcher",
     "LibraryMatcher",
     "MappedCircuit",
     "MappingResult",

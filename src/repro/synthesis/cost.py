@@ -17,24 +17,24 @@ cell of a canonical class to prefer -- is owned by a :class:`CostModel`:
     as tie-break, smallest cell per class (switched capacitance is monotone
     in the device widths, i.e. in the area).
 
-A model's :meth:`~CostModel.gate_cost` is a pure function of the candidate
-match, so the multi-round recovery driver can price the same pre-matched
-candidate table under different models without re-running Boolean matching.
+The DP of :mod:`repro.synthesis.mapper` consumes two vectorized hooks:
+:meth:`~CostModel.price_batch` prices a whole
+:class:`~repro.synthesis.mapper.CandidateTable` in one numpy expression and
+:meth:`~CostModel.better_batch` compares one candidate slot across all nodes
+of an AIG level.  Both are required (:func:`register_cost_model` rejects a
+model without them).  Prices are a pure function of the candidate match, so
+the multi-round recovery driver can price the same pre-matched candidate
+table under different models without re-running Boolean matching.
+:meth:`~CostModel.gate_cost` prices one selected candidate -- the recovery
+driver's per-cover cost -- and must agree with ``price_batch`` bitwise.
+
 Comparisons keep the historical ``1e-9`` epsilons so the selected cells --
 and therefore every downstream artifact -- stay bit-identical to the
-pre-refactor single-pass mapper.
-
-The built-in models additionally implement the vectorized hooks
-:meth:`~CostModel.price_batch` / :meth:`~CostModel.better_batch` consumed by
-the batched DP of :mod:`repro.synthesis.mapper`: one numpy expression over a
-whole :class:`~repro.synthesis.mapper.CandidateTable` (or one candidate slot
-across all nodes of an AIG level) instead of one Python call per candidate.
-Both hooks are required to reproduce the scalar semantics *bitwise* --
-elementwise IEEE-754 operations in the same order as the scalar code, no
-reassociating reductions -- because the ``1e-9`` tie-breaks are not
+pre-refactor single-pass mapper.  The hooks use elementwise IEEE-754
+operations in the order of the per-candidate expressions, with no
+reassociating reductions, because the ``1e-9`` tie-breaks are not
 transitive: a reordered comparison sequence can select a different (equally
-"best") cell and change downstream artifacts.  Third-party models registered
-without the hooks simply keep the scalar DP path.
+"best") cell and change downstream artifacts.
 
 Models are stateless singletons looked up by objective name
 (:func:`cost_model_for`); the per-mapping context (activities, resolved pin
@@ -115,12 +115,6 @@ class CostModel(Protocol):
         """
         ...  # pragma: no cover - protocol stub
 
-    def better(
-        self, arrival: float, flow: float, best_arrival: float, best_flow: float
-    ) -> bool:
-        """Whether ``(arrival, flow)`` beats the incumbent ``(best_*)``."""
-        ...  # pragma: no cover - protocol stub
-
     def price_batch(
         self, table: "CandidateTable", context: MappingContext
     ) -> np.ndarray:
@@ -130,8 +124,7 @@ class CostModel(Protocol):
         :meth:`gate_cost` would return for the equivalent
         :class:`MatchCandidate` (same operations in the same order).  The
         returned array may alias table storage and must not be mutated by
-        callers.  Optional: the mapper falls back to the scalar DP for
-        models that do not provide it.
+        callers.
         """
         ...  # pragma: no cover - protocol stub
 
@@ -142,11 +135,11 @@ class CostModel(Protocol):
         best_arrival: np.ndarray,
         best_flow: np.ndarray,
     ) -> np.ndarray:
-        """Elementwise :meth:`better` over candidate batches (bool array).
+        """Whether each ``(arrival, flow)`` beats its incumbent ``(best_*)``.
 
-        Optional, paired with :meth:`price_batch`; must apply the same
-        epsilon comparisons elementwise so the batched incumbent scan
-        reproduces the scalar scan decision-for-decision.
+        Elementwise over candidate batches (bool array), with the model's
+        epsilon comparisons, so the DP's slot-ordered incumbent scan makes
+        the same decisions as a per-candidate scan.
         """
         ...  # pragma: no cover - protocol stub
 
@@ -161,13 +154,6 @@ class DelayCost:
         self, candidate: MatchCandidate, node: int, context: MappingContext
     ) -> float:
         return candidate.area
-
-    def better(
-        self, arrival: float, flow: float, best_arrival: float, best_flow: float
-    ) -> bool:
-        return arrival < best_arrival - EPSILON or (
-            abs(arrival - best_arrival) <= EPSILON and flow < best_flow - EPSILON
-        )
 
     def price_batch(
         self, table: "CandidateTable", context: MappingContext
@@ -197,13 +183,6 @@ class AreaFlowCost:
         self, candidate: MatchCandidate, node: int, context: MappingContext
     ) -> float:
         return candidate.area
-
-    def better(
-        self, arrival: float, flow: float, best_arrival: float, best_flow: float
-    ) -> bool:
-        return flow < best_flow - EPSILON or (
-            abs(flow - best_flow) <= EPSILON and arrival < best_arrival - EPSILON
-        )
 
     def price_batch(
         self, table: "CandidateTable", context: MappingContext
@@ -261,13 +240,6 @@ class PowerFlowCost:
         cost += power_report.static_power(probability_on)
         return cost
 
-    def better(
-        self, arrival: float, flow: float, best_arrival: float, best_flow: float
-    ) -> bool:
-        return flow < best_flow - EPSILON or (
-            abs(flow - best_flow) <= EPSILON and arrival < best_arrival - EPSILON
-        )
-
     def price_batch(
         self, table: "CandidateTable", context: MappingContext
     ) -> np.ndarray:
@@ -308,8 +280,25 @@ class PowerFlowCost:
 _COST_MODELS: dict[str, CostModel] = {}
 
 
+#: The members every registered model must provide (the mapper calls them all).
+_REQUIRED_HOOKS = ("gate_cost", "price_batch", "better_batch")
+
+
 def register_cost_model(model: CostModel, replace: bool = False) -> CostModel:
-    """Add a cost model to the registry (pluggable mapping objectives)."""
+    """Add a cost model to the registry (pluggable mapping objectives).
+
+    Raises ``TypeError`` when the model lacks one of the hooks the mapper
+    calls (:meth:`~CostModel.gate_cost`, :meth:`~CostModel.price_batch`,
+    :meth:`~CostModel.better_batch`).
+    """
+    missing = [
+        hook for hook in _REQUIRED_HOOKS if not callable(getattr(model, hook, None))
+    ]
+    if missing:
+        raise TypeError(
+            f"cost model {getattr(model, 'name', model)!r} lacks required "
+            f"hook(s): {', '.join(missing)}"
+        )
     if not model.name:
         raise ValueError("a cost model must have a non-empty name")
     if not replace and model.name in _COST_MODELS:

@@ -7,17 +7,22 @@ mapping enumerates, for every node, a small set of K-feasible cuts (at most
 Boolean function of the node in terms of the cut leaves, and matches that
 function against the library.
 
-Two implementations share one contract:
+:func:`enumerate_cuts_arrays` enumerates into numpy arrays
+(:class:`CutSet`) and dispatches on graph shape between two arms with one
+contract:
 
-* :func:`enumerate_cuts_arrays` -- the **vectorized kernel path**.  Per-node
-  candidate cuts live in numpy arrays (:class:`CutSet`): leaf tuples are
-  merged with batched sorts, truth tables are expanded and AND-ed as uint64
-  words across all candidate cuts of a whole AIG level at once
-  (:mod:`repro.synthesis.cut_kernels`), and leaf-set deduplication is a
-  single signature sort instead of a per-pair dict.  Every K<=6 cut function
-  fits one 64-bit word, which is what makes the batching exact.
-* :func:`enumerate_cuts_reference` -- the original pure-Python enumeration,
-  retained as the oracle; the property tests assert cut-for-cut agreement.
+* :func:`enumerate_cuts_vectorized` -- the **batched kernel path** for wide
+  graphs: leaf tuples are merged with batched sorts, truth tables are
+  expanded and AND-ed as uint64 words across all candidate cuts of a whole
+  AIG level at once (:mod:`repro.synthesis.cut_kernels`), and leaf-set
+  deduplication is a single signature sort instead of a per-pair dict.
+  Every K<=6 cut function fits one 64-bit word, which is what makes the
+  batching exact.
+* :func:`enumerate_cuts_scalar` -- a tuned per-node loop for deep, narrow
+  graphs, where numpy dispatch overhead exceeds the batching win.
+
+Both arms are pinned cut for cut (same leaves, tables, supports, order) to
+the original pure-Python enumeration kept in ``tests/oracles/cuts.py``.
 
 :func:`enumerate_cuts` keeps the historical dict-of-:class:`Cut` interface on
 top of the vectorized path (and memoizes the underlying :class:`CutSet` on
@@ -35,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.synthesis.aig import Aig, lit_is_complemented, lit_node
+from repro.synthesis.aig import Aig
 from repro.synthesis.aig_array import AigArrays, aig_arrays
 from repro.synthesis.cut_kernels import (
     FULL_BY_SIZE,
@@ -54,19 +59,6 @@ _FULL_MASK = {n: (1 << (1 << n)) - 1 for n in range(0, 7)}
 #: Padding value for unused leaf slots in the array representation; larger
 #: than any node id so batched sorts push padding to the right.
 LEAF_SENTINEL = np.int32(2**31 - 1)
-
-# Truth-table columns of the projection functions x0..x5 over 6 variables,
-# restricted on demand to fewer variables by masking.
-_VAR_COLUMNS_6 = []
-for _i in range(6):
-    _block = 1 << _i
-    _chunk = ((1 << _block) - 1) << _block
-    _period = _block * 2
-    _bits = 0
-    for _start in range(0, 64, _period):
-        _bits |= _chunk << _start
-    _VAR_COLUMNS_6.append(_bits)
-
 
 @dataclass(frozen=True)
 class Cut:
@@ -286,14 +278,6 @@ def _expand_table(table: int, leaves: tuple[int, ...], merged: tuple[int, ...]) 
 _CUT_PIPELINE_CACHES.append(_expand_table)
 
 
-def _merge_leaves(a: tuple[int, ...], b: tuple[int, ...], limit: int) -> tuple[int, ...] | None:
-    """Sorted union of two leaf sets, or ``None`` if it exceeds ``limit``."""
-    merged = sorted(set(a) | set(b))
-    if len(merged) > limit:
-        return None
-    return tuple(merged)
-
-
 def _validate_parameters(max_inputs: int, cut_limit: int) -> None:
     if max_inputs < 2 or max_inputs > 6:
         raise ValueError("max_inputs must be between 2 and 6")
@@ -410,8 +394,8 @@ def enumerate_cuts_arrays(
 
     Dispatches on batch width: wide graphs run the batched uint64 kernels
     (:func:`enumerate_cuts_vectorized`), deep narrow graphs -- where numpy
-    dispatch overhead exceeds the batching win -- fall back to the scalar
-    reference loop and pack its result.  Both produce identical cuts.
+    dispatch overhead exceeds the batching win -- run the scalar loop
+    (:func:`enumerate_cuts_scalar`).  Both produce identical cuts.
     """
     _validate_parameters(max_inputs, cut_limit)
     arrays = aig_arrays(aig)
@@ -424,36 +408,6 @@ def enumerate_cuts_arrays(
     return enumerate_cuts_vectorized(aig, max_inputs=max_inputs, cut_limit=cut_limit)
 
 
-def _cut_set_from_dict(
-    cuts: dict[int, list[Cut]], arrays: AigArrays, max_inputs: int, cut_limit: int
-) -> CutSet:
-    """Pack a dict-of-:class:`Cut` enumeration into the array representation."""
-    num_nodes = arrays.num_nodes
-    slots = cut_limit + 1
-    count = np.zeros(num_nodes, dtype=np.int64)
-    leaves = np.full((num_nodes, slots, max_inputs), LEAF_SENTINEL, dtype=np.int32)
-    size = np.zeros((num_nodes, slots), dtype=np.int8)
-    table = np.zeros((num_nodes, slots), dtype=np.uint64)
-    support = np.zeros((num_nodes, slots), dtype=np.uint8)
-    for node, node_cuts in cuts.items():
-        count[node] = len(node_cuts)
-        for slot, cut in enumerate(node_cuts):
-            width = len(cut.leaves)
-            leaves[node, slot, :width] = cut.leaves
-            size[node, slot] = width
-            table[node, slot] = cut.table
-            support[node, slot] = cut.support_mask()
-    return CutSet(
-        max_inputs=max_inputs,
-        cut_limit=cut_limit,
-        count=count,
-        leaves=leaves,
-        size=size,
-        table=table,
-        support=support,
-    )
-
-
 def enumerate_cuts_scalar(
     aig: Aig,
     max_inputs: int = DEFAULT_MAX_INPUTS,
@@ -462,7 +416,7 @@ def enumerate_cuts_scalar(
     """Tuned scalar enumeration straight into the array representation.
 
     The narrow-graph arm of :func:`enumerate_cuts_arrays`: the same
-    algorithm as :func:`enumerate_cuts_reference` -- fanin-major pair order,
+    algorithm as the pure-Python enumeration -- fanin-major pair order,
     first-wins leaf-set dedup, stable ``(size, single-fanout leaves)``
     ranking -- but with the per-pair overhead stripped (plain tuple/dict
     state instead of :class:`Cut` objects, table expansion skipped for
@@ -616,7 +570,7 @@ def enumerate_cuts_vectorized(
 ) -> CutSet:
     """Enumerate priority cuts for every node with the batched uint64 kernels.
 
-    Bit-identical to :func:`enumerate_cuts_reference` (same cuts, same order,
+    Bit-identical to :func:`enumerate_cuts_scalar` (same cuts, same order,
     same tables): candidate pairs are generated in the same fanin-major
     order, deduplicated first-wins by leaf signature and stably ranked by
     ``(size, single-fanout leaves, first occurrence)``.
@@ -680,7 +634,7 @@ def _enumerate_level(
     cuts1 = count[node1]
 
     # Candidate pairs in fanin-major order: pair p of a node is
-    # (cut i0 = p // cuts1, cut i1 = p % cuts1), matching the reference's
+    # (cut i0 = p // cuts1, cut i1 = p % cuts1), matching the scalar
     # nested loop, so "first occurrence" means the same thing on both paths.
     pairs_per_node = cuts0 * cuts1
     total = int(pairs_per_node.sum())
@@ -720,7 +674,7 @@ def _enumerate_level(
     # stable unique over (node, leaf row) replaces the per-pair dict -- and
     # runs *before* any table work, so functions are only computed for the
     # distinct leaf sets (identical leaf sets always produce the same
-    # function, exactly as on the reference path).
+    # function, exactly as on the scalar path).
     signature = np.empty((feasible.size, width + 1), dtype=np.int32)
     signature[:, 0] = local
     signature[:, 1:] = merged
@@ -761,7 +715,7 @@ def _enumerate_level(
     candidate_table = table0 & table1 & full
 
     # Ranking: stable by (size, number of single-fanout leaves, insertion
-    # order), grouped per node -- the vectorized form of the reference's
+    # order), grouped per node -- the vectorized form of the scalar
     # stable sort over the insertion-ordered candidate dict.
     is_leaf = candidate_leaves != LEAF_SENTINEL
     fanout = arrays.fanout[np.where(is_leaf, candidate_leaves, 0)]
@@ -844,68 +798,8 @@ def enumerate_cuts(
     Returns a dictionary mapping node index to its cut list; the first cut of
     every AND node is always available (the cut formed by its two fanins), and
     the trivial cut ``{node}`` is included for use as a leaf of larger cuts
-    but never matched on its own.  Runs on the vectorized kernel path; see
-    :func:`enumerate_cuts_reference` for the retained pure-Python oracle.
+    but never matched on its own.  A view over the memoized
+    :class:`CutSet` of :func:`cut_set_for`.
     """
     cut_set = cut_set_for(aig, max_inputs=max_inputs, cut_limit=cut_limit)
     return cut_set.to_dict(aig_arrays(aig))
-
-
-def enumerate_cuts_reference(
-    aig: Aig,
-    max_inputs: int = DEFAULT_MAX_INPUTS,
-    cut_limit: int = DEFAULT_CUT_LIMIT,
-) -> dict[int, list[Cut]]:
-    """Pure-Python reference enumeration (the pre-vectorization algorithm).
-
-    Kept as the independent oracle for :func:`enumerate_cuts_arrays`; the
-    hypothesis property tests assert cut-for-cut agreement between the two.
-    """
-    _validate_parameters(max_inputs, cut_limit)
-
-    cuts: dict[int, list[Cut]] = {}
-    # Constant node and primary inputs only have their trivial cut.
-    cuts[0] = [Cut((0,), 0b10, 0b1)]  # unused in practice
-    for pi in aig.pi_nodes():
-        cuts[pi] = [Cut((pi,), 0b10, 0b1)]
-
-    fanout = aig.fanout_counts()
-
-    for node in aig.and_nodes():
-        f0, f1 = aig.fanins(node)
-        node0, node1 = lit_node(f0), lit_node(f1)
-        comp0, comp1 = lit_is_complemented(f0), lit_is_complemented(f1)
-        candidates: dict[tuple[int, ...], int] = {}
-
-        for cut0 in cuts[node0]:
-            for cut1 in cuts[node1]:
-                merged = _merge_leaves(cut0.leaves, cut1.leaves, max_inputs)
-                if merged is None:
-                    continue
-                full = _FULL_MASK[len(merged)]
-                t0 = _expand_table(cut0.table, cut0.leaves, merged)
-                t1 = _expand_table(cut1.table, cut1.leaves, merged)
-                if comp0:
-                    t0 = ~t0 & full
-                if comp1:
-                    t1 = ~t1 & full
-                table = t0 & t1
-                existing = candidates.get(merged)
-                if existing is None:
-                    candidates[merged] = table
-                # Identical leaf sets always produce the same function, so no
-                # merge policy is needed beyond first-wins.
-
-        ranked = sorted(
-            candidates.items(),
-            key=lambda item: (len(item[0]), sum(fanout[l] == 1 for l in item[0])),
-        )
-        node_cuts = [
-            Cut(leaves, table, table_support(table, len(leaves)))
-            for leaves, table in ranked[:cut_limit]
-        ]
-        # The trivial cut participates in fanout cut merging.
-        node_cuts.append(Cut((node,), 0b10, 0b1))
-        cuts[node] = node_cuts
-
-    return cuts

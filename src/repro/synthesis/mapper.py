@@ -14,14 +14,13 @@ The mapper is a layered engine in the spirit of ABC's ``map`` command:
    policy -- local gate cost, arrival/flow tie-break, preferred cell per
    canonical class -- is owned entirely by the
    :class:`~repro.synthesis.cost.CostModel` (``delay``/``area``/``power``);
-   the DP itself is objective agnostic.  For models providing the batch
-   hooks (all built-ins) the pass runs vectorized over a
-   :class:`CandidateTable`: nodes are processed one AIG level at a time
-   (``aig_array`` level buckets) and the per-node candidate scan becomes a
-   slot-indexed incumbent update across the whole level, bitwise identical
-   to the scalar scan (see :func:`_dp_round_batched`); the scalar
-   :func:`_dp_round` is retained as the oracle and as the fallback for
-   third-party cost models without the hooks.  Recovery re-solves are
+   the DP itself is objective agnostic.  The pass runs vectorized over a
+   :class:`CandidateTable` through the models' batch hooks: nodes are
+   processed one AIG level at a time (``aig_array`` level buckets) and the
+   per-node candidate scan becomes a slot-indexed incumbent update across
+   the whole level, bitwise identical to a per-candidate incumbent scan
+   (see :func:`_dp_round_batched`; the scalar scan it is pinned to lives in
+   ``tests/oracles/mapper.py``).  Recovery re-solves are
    *incremental*: only nodes whose required time, reference count or leaf
    arrivals/flows actually changed since the previous round are re-chosen
    (:class:`_DpState` carries the previous solution).
@@ -51,13 +50,12 @@ per switching event) and normalized to the technology intrinsic delay
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from repro import obs, profiling
+from repro import obs
 from repro.core.library import GateLibrary
 from repro.synthesis.aig import Aig, lit_node
 from repro.synthesis.aig_array import aig_arrays
@@ -75,7 +73,7 @@ from repro.synthesis.cuts import (
     _track_cutset_memo,
     cut_set_for,
 )
-from repro.synthesis.matcher import CellMatch, _MatcherBase, matcher_for
+from repro.synthesis.matcher import CellMatch, LibraryMatcher, matcher_for
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.activity import ActivityReport
@@ -230,193 +228,10 @@ def _pin_bindings(match: CellMatch) -> tuple[tuple[str, bool], ...]:
     )
 
 
-def _candidates_for(
-    arrays, cut_set, matcher: _MatcherBase, prefer: str
-) -> list[list[MatchCandidate]]:
-    """The (memoized) candidate table of a cut set under one matcher/policy.
-
-    The memo lives on the :class:`CutSet` (which is itself memoized per AIG
-    structure) keyed by matcher identity and preferred-cell policy, so the
-    repeated mappings of one subject -- the three objectives of a Pareto
-    sweep, the rounds of a recovery run, re-maps after the cut memo warmed
-    -- pay for matching and candidate construction once.  The matcher is
-    stored in the entry to keep the identity key valid.
-    """
-    memo = cut_set.__dict__.get("_match_tables")
-    if memo is None:
-        memo = {}
-        object.__setattr__(cut_set, "_match_tables", memo)
-        _track_cutset_memo(cut_set)
-    key = (id(matcher), prefer)
-    entry = memo.get(key)
-    if entry is None or entry[0] is not matcher:
-        memo[key] = entry = (
-            matcher,
-            _build_candidates(arrays, cut_set, matcher, prefer),
-        )
-    return entry[1]
-
-
-def _build_candidates(
-    arrays, cut_set, matcher: _MatcherBase, prefer: str
-) -> list[list[MatchCandidate]]:
-    """Per-node candidate table: every matched ranked cut of every AND node.
-
-    Reads the :class:`CutSet` struct-of-arrays directly -- the valid
-    ``(node, slot)`` pairs are flattened with one ``repeat``/``arange`` pass
-    and only those compact rows are converted to Python scalars, instead of
-    materializing the full padded ``as_python`` view.  Candidate order per
-    node is slot order (the cut ranking), nodes in topological order, so the
-    DP sees exactly the sequence the historical single-pass mapper saw.
-    """
-    candidates: list[list[MatchCandidate]] = [[] for _ in range(arrays.num_nodes)]
-    and_nodes = arrays.and_nodes
-    if and_nodes.size == 0:
-        return candidates
-    # Ranked cuts only: the last valid slot of every node is the trivial
-    # ``{node}`` cut, which participates in fanout merging but is never
-    # matched on its own.
-    per_node = cut_set.count[and_nodes] - 1
-    total = int(per_node.sum())
-    if total == 0:
-        return candidates
-    nodes_rep = np.repeat(and_nodes, per_node)
-    starts = np.concatenate(([0], np.cumsum(per_node)[:-1]))
-    slots = np.arange(total) - np.repeat(starts, per_node)
-
-    node_list = nodes_rep.tolist()
-    size_list = cut_set.size[nodes_rep, slots].tolist()
-    table_list = cut_set.table[nodes_rep, slots].tolist()
-    support_list = cut_set.support[nodes_rep, slots].tolist()
-    leaves_rows = cut_set.leaves[nodes_rep, slots].tolist()
-
-    match_positions = matcher.match_positions
-    for index in range(total):
-        found = match_positions(
-            size_list[index],
-            table_list[index],
-            prefer=prefer,
-            support_mask=support_list[index],
-        )
-        if found is None:
-            continue
-        match, positions, table = found
-        row = leaves_rows[index]
-        cell = match.cell
-        fo4 = cell.delay.fo4_average
-        parasitic = cell.delay.parasitic_output
-        candidates[node_list[index]].append(
-            MatchCandidate(
-                leaves=tuple(row[p] for p in positions),
-                table=table,
-                match=match,
-                delay=fo4,
-                area=cell.area,
-                parasitic=parasitic,
-                effort=max(fo4 - parasitic, 0.0) / 4.0,
-            )
-        )
-    return candidates
-
-
-def _price_candidates(
-    and_node_list: list[int],
-    candidates: list[list[MatchCandidate]],
-    model: CostModel,
-    context: MappingContext,
-) -> list[list[float]]:
-    """Per-candidate local gate costs under one cost model.
-
-    Computed once per (model, mapping call) and reused by every round that
-    prices under that model -- the costs are round-invariant, only the flow
-    normalization and the required-time constraints change between rounds.
-    """
-    gate_cost = model.gate_cost
-    prices: list[list[float]] = [[] for _ in range(len(candidates))]
-    for node in and_node_list:
-        prices[node] = [gate_cost(cand, node, context) for cand in candidates[node]]
-    return prices
-
-
 _DELAY_TIEBREAK = cost_model_for("delay")
 
 
-def _dp_round(
-    aig: Aig,
-    library: GateLibrary,
-    and_node_list: list[int],
-    candidates: list[list[MatchCandidate]],
-    prices: list[list[float]],
-    model: CostModel,
-    references: list[float],
-    required: list[float] | None = None,
-    load_aware: bool = False,
-) -> tuple[dict[int, MatchCandidate], list[float], list[float]]:
-    """One forward DP pass: best candidate, arrival and flow per node.
-
-    Without ``required`` this is the classical single-pass mapping under
-    ``model`` with FO4 cell delays (round 0).  With ``required`` only
-    candidates meeting their node's deadline compete under ``model``; if
-    none does, the arrival-optimal candidate is chosen instead so arrivals
-    degrade as little as possible.  ``load_aware`` switches the arrival
-    model to the timing engine's ``parasitic + effort * loads`` using the
-    per-node reference estimate as the load -- the recovery rounds use it
-    so the DP's deadlines line up with the re-timed circuit.
-    """
-    num_nodes = len(candidates)
-    arrival_list = [0.0] * num_nodes
-    flow_list = [0.0] * num_nodes
-    choices: dict[int, MatchCandidate] = {}
-    better = model.better
-    fallback_better = _DELAY_TIEBREAK.better
-
-    for node in and_node_list:
-        best: MatchCandidate | None = None
-        best_arrival = best_flow = 0.0
-        fallback: MatchCandidate | None = None
-        fallback_arrival = fallback_flow = 0.0
-        node_required = required[node] if required is not None else None
-        node_references = references[node]
-        for candidate, cost in zip(candidates[node], prices[node]):
-            leaves = candidate.leaves
-            gate_delay = (
-                candidate.parasitic + candidate.effort * node_references
-                if load_aware
-                else candidate.delay
-            )
-            arrival = (
-                max((arrival_list[leaf] for leaf in leaves), default=0.0)
-                + gate_delay
-            )
-            flow = (
-                cost + sum(flow_list[leaf] for leaf in leaves)
-            ) / node_references
-            if node_required is not None:
-                if fallback is None or fallback_better(
-                    arrival, flow, fallback_arrival, fallback_flow
-                ):
-                    fallback = candidate
-                    fallback_arrival, fallback_flow = arrival, flow
-                if arrival > node_required + EPSILON:
-                    continue
-            if best is None or better(arrival, flow, best_arrival, best_flow):
-                best = candidate
-                best_arrival, best_flow = arrival, flow
-        if best is None:
-            if fallback is None:
-                raise MappingError(
-                    f"node {node} of {aig.name!r} has no matching cell in library "
-                    f"{library.name!r}"
-                )
-            best = fallback
-            best_arrival, best_flow = fallback_arrival, fallback_flow
-        choices[node] = best
-        arrival_list[node] = best_arrival
-        flow_list[node] = best_flow
-    return choices, arrival_list, flow_list
-
-
-# -- vectorized DP ------------------------------------------------------------
+# -- candidate table and DP ---------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -425,7 +240,7 @@ class CandidateTable:
 
     Rows are grouped contiguously per node in ascending node id (which is
     also topological order for an :class:`Aig`), each node's rows in cut
-    slot order -- exactly the candidate sequence the scalar DP iterates.
+    slot order -- the cut ranking, which is the DP's comparison order.
     ``leaves`` rows are the support-reduced cut leaves in cell input order,
     padded with node 0 (whose arrival and flow are exactly ``0.0``, so
     padded slots are no-ops in the max/sum kernels).  ``matches`` holds the
@@ -461,9 +276,9 @@ class CandidateTable:
     def candidate(self, row: int) -> MatchCandidate:
         """Materialize one row as a :class:`MatchCandidate` (cover phase).
 
-        Object construction dominates the scalar table build, so the batched
-        path only pays it here -- for the few hundred rows a cover actually
-        selects, not the tens of thousands the DP scans.
+        Object construction is expensive, so the table only pays it here --
+        for the few hundred rows a cover actually selects, not the tens of
+        thousands the DP scans.
         """
         width = int(self.width[row])
         return MatchCandidate(
@@ -544,29 +359,19 @@ def _empty_candidate_table(arrays, max_inputs: int) -> CandidateTable:
     )
 
 
-def _scalar_match_forced() -> bool:
-    """Whether ``REPRO_SCALAR_MATCH`` pins the per-function scalar matcher
-    loop (parity/debugging escape hatch for the batched match pipeline)."""
-    return os.environ.get("REPRO_SCALAR_MATCH", "") not in ("", "0")
-
-
 def _build_candidate_table(
-    arrays, cut_set, matcher: _MatcherBase, prefer: str
+    arrays, cut_set, matcher: LibraryMatcher, prefer: str
 ) -> CandidateTable:
-    """Vectorized candidate-table construction (batched Boolean matching).
+    """Candidate-table construction from the matcher's columnar match table.
 
-    The valid ``(node, slot)`` pairs are flattened as in
-    :func:`_build_candidates` and the matcher is consulted once per
-    *distinct* ``(size, table)`` function.  With a matcher exposing the
-    columnar batch API (:meth:`LibraryMatcher.match_table`) the whole match
-    resolution is a handful of vector passes -- batched canonicalization,
-    one ``searchsorted`` per arity, vectorized transform composition -- and
-    the candidate columns are gathered straight out of the
-    :class:`~repro.synthesis.matcher.MatchTable`.  Other matchers (and
-    ``REPRO_SCALAR_MATCH=1``) fall back to the per-distinct-function scalar
-    ``match_positions`` loop, which is the pinned oracle.  Row order is
-    identical to the scalar build (nodes ascending, slot order within a
-    node), and no :class:`MatchCandidate` objects are created -- see
+    The valid ``(node, slot)`` pairs of the ranked cuts are flattened
+    (nodes ascending, slot order within a node) and resolved through
+    :meth:`LibraryMatcher.match_table`: every *distinct* ``(size, table)``
+    cut function is matched once, by batched canonicalization, one
+    ``searchsorted`` per arity and vectorized transform composition, and the
+    candidate columns are gathered straight out of the resulting
+    :class:`~repro.synthesis.matcher.MatchTable`.  No
+    :class:`MatchCandidate` objects are created -- see
     :meth:`CandidateTable.candidate`.
     """
     and_nodes = arrays.and_nodes
@@ -582,77 +387,19 @@ def _build_candidate_table(
     slots = np.arange(total) - np.repeat(starts, per_node)
     cut_leaves = cut_set.leaves[nodes_rep, slots]
 
-    if hasattr(matcher, "match_table") and not _scalar_match_forced():
-        match_table = matcher.match_table(cut_set, and_nodes, prefer)
-        inverse = match_table.inverse
-        matched = match_table.matched
-        widths = match_table.width
-        reduced = match_table.reduced
-        match_ids = match_table.match_index
-        cell_delay = match_table.delay
-        cell_area = match_table.area
-        cell_parasitic = match_table.parasitic
-        cell_effort = match_table.effort
-        matches = match_table.matches
-        positions = match_table.positions
-        if positions.shape[1] < max_inputs:
-            padded = np.zeros((positions.shape[0], max_inputs), dtype=np.int64)
-            padded[:, : positions.shape[1]] = positions
-            positions = padded
-        elif positions.shape[1] > max_inputs:
-            positions = positions[:, :max_inputs]
-    else:
-        sizes = cut_set.size[nodes_rep, slots].astype(np.uint64)
-        tables = cut_set.table[nodes_rep, slots]
-        supports = cut_set.support[nodes_rep, slots]
-
-        keys = np.empty((total, 2), dtype=np.uint64)
-        keys[:, 0] = sizes
-        keys[:, 1] = tables
-        distinct, first_index, inverse = np.unique(
-            keys, axis=0, return_index=True, return_inverse=True
-        )
-        inverse = inverse.reshape(-1)
-
-        num_distinct = distinct.shape[0]
-        matched = np.zeros(num_distinct, dtype=bool)
-        positions = np.zeros((num_distinct, max_inputs), dtype=np.int64)
-        widths = np.zeros(num_distinct, dtype=np.int64)
-        reduced = np.zeros(num_distinct, dtype=np.uint64)
-        match_ids = np.zeros(num_distinct, dtype=np.int64)
-        cell_delay = np.zeros(num_distinct, dtype=np.float64)
-        cell_area = np.zeros(num_distinct, dtype=np.float64)
-        cell_parasitic = np.zeros(num_distinct, dtype=np.float64)
-        cell_effort = np.zeros(num_distinct, dtype=np.float64)
-        matches = []
-
-        match_positions = matcher.match_positions
-        size_list = distinct[:, 0].tolist()
-        table_list = distinct[:, 1].tolist()
-        support_list = supports[first_index].tolist()
-        for index in range(num_distinct):
-            found = match_positions(
-                size_list[index],
-                table_list[index],
-                prefer=prefer,
-                support_mask=support_list[index],
-            )
-            if found is None:
-                continue
-            match, match_pos, match_table_bits = found
-            matched[index] = True
-            widths[index] = len(match_pos)
-            positions[index, : len(match_pos)] = match_pos
-            reduced[index] = match_table_bits
-            match_ids[index] = len(matches)
-            matches.append(match)
-            cell = match.cell
-            fo4 = cell.delay.fo4_average
-            parasitic = cell.delay.parasitic_output
-            cell_delay[index] = fo4
-            cell_area[index] = cell.area
-            cell_parasitic[index] = parasitic
-            cell_effort[index] = max(fo4 - parasitic, 0.0) / 4.0
+    match_table = matcher.match_table(cut_set, and_nodes, prefer)
+    inverse = match_table.inverse
+    matched = match_table.matched
+    widths = match_table.width
+    reduced = match_table.reduced
+    match_ids = match_table.match_index
+    positions = match_table.positions
+    if positions.shape[1] < max_inputs:
+        padded = np.zeros((positions.shape[0], max_inputs), dtype=np.int64)
+        padded[:, : positions.shape[1]] = positions
+        positions = padded
+    elif positions.shape[1] > max_inputs:
+        positions = positions[:, :max_inputs]
 
     kept = np.nonzero(matched[inverse])[0]
     ref = inverse[kept]
@@ -677,11 +424,11 @@ def _build_candidate_table(
         width=width_rows,
         table_bits=reduced[ref],
         match_index=match_ids[ref],
-        delay=cell_delay[ref],
-        area=cell_area[ref],
-        parasitic=cell_parasitic[ref],
-        effort=cell_effort[ref],
-        matches=matches,
+        delay=match_table.delay[ref],
+        area=match_table.area[ref],
+        parasitic=match_table.parasitic[ref],
+        effort=match_table.effort[ref],
+        matches=match_table.matches,
         level_nodes=arrays.level_groups,
         level_rows=level_rows,
         level_local=level_local,
@@ -689,16 +436,23 @@ def _build_candidate_table(
 
 
 def _candidate_table_for(
-    arrays, cut_set, matcher: _MatcherBase, prefer: str
+    arrays, cut_set, matcher: LibraryMatcher, prefer: str
 ) -> CandidateTable:
-    """Memoized :func:`_build_candidate_table` (same scheme as
-    :func:`_candidates_for`, distinct memo key space)."""
+    """The (memoized) candidate table of a cut set under one matcher/policy.
+
+    The memo lives on the :class:`CutSet` (which is itself memoized per AIG
+    structure) keyed by matcher identity and preferred-cell policy, so the
+    repeated mappings of one subject -- the three objectives of a Pareto
+    sweep, the rounds of a recovery run, re-maps after the cut memo warmed
+    -- pay for matching and table construction once.  The matcher is
+    stored in the entry to keep the identity key valid.
+    """
     memo = cut_set.__dict__.get("_match_tables")
     if memo is None:
         memo = {}
         object.__setattr__(cut_set, "_match_tables", memo)
         _track_cutset_memo(cut_set)
-    key = ("batched", id(matcher), prefer)
+    key = ("candidates", id(matcher), prefer)
     entry = memo.get(key)
     if entry is None or entry[0] is not matcher:
         memo[key] = entry = (
@@ -713,7 +467,8 @@ def _concat_candidate_tables(
 ) -> tuple[CandidateTable, np.ndarray, np.ndarray]:
     """Merge two tables per node: ``base`` rows first, then ``extra`` rows.
 
-    Reproduces the scalar recovery merge (``base + extra`` candidate lists).
+    Each node's merged candidate sequence is its ``base`` candidates
+    followed by its ``extra`` candidates.
     Also returns the destination row indices of both inputs so per-row
     companions (the price arrays) can be permuted instead of re-priced.
     """
@@ -810,13 +565,6 @@ class _BatchedChoices:
         return cached
 
 
-def _supports_batch(model: CostModel) -> bool:
-    """Whether a cost model implements the vectorized DP hooks."""
-    return callable(getattr(model, "price_batch", None)) and callable(
-        getattr(model, "better_batch", None)
-    )
-
-
 def _dp_round_batched(
     aig: Aig,
     library: GateLibrary,
@@ -828,18 +576,27 @@ def _dp_round_batched(
     load_aware: bool = False,
     state: _DpState | None = None,
 ) -> _DpState:
-    """Vectorized :func:`_dp_round`: level-batched, bitwise-identical scan.
+    """One forward DP pass: best candidate, arrival and flow per node.
+
+    Without ``required`` this is the classical single-pass mapping under
+    ``model`` with FO4 cell delays (round 0).  With ``required`` only
+    candidates meeting their node's deadline compete under ``model``; if
+    none does, the arrival-optimal candidate is chosen instead so arrivals
+    degrade as little as possible.  ``load_aware`` switches the arrival
+    model to the timing engine's ``parasitic + effort * loads`` using the
+    per-node reference estimate as the load -- the recovery rounds use it
+    so the DP's deadlines line up with the re-timed circuit.
 
     Nodes are processed one AIG level at a time (every ranked-cut leaf lives
     on a strictly lower level than its node, so a level's inputs are final
-    when it is reached).  Per level the scalar candidate loop becomes a scan
-    over candidate *slots*: slot ``s`` of every node in the level is
+    when it is reached).  Per level the per-node candidate loop becomes a
+    scan over candidate *slots*: slot ``s`` of every node in the level is
     evaluated with one elementwise incumbent update.  Because the epsilon
     tie-breaks are not transitive, a plain argmin could pick a different
-    (equally "best") candidate than the scalar incumbent scan; iterating
-    slots in cut-rank order reproduces the scalar comparison sequence
-    exactly, so the selected rows -- and all downstream artifacts -- are
-    bit-identical.
+    (equally "best") candidate than a per-node incumbent scan; iterating
+    slots in cut-rank order reproduces that comparison sequence exactly, so
+    the selected rows -- and all downstream artifacts -- are bit-identical
+    to the scalar scan the tests pin this pass to.
 
     When ``state`` holds a previous solve of the same configuration (same
     table, prices, model, arrival model, constraint shape), the pass is
@@ -1094,7 +851,7 @@ def _required_times(num_nodes: int, report, deadline: float) -> list[float]:
 def map_rounds(
     aig: Aig,
     library: GateLibrary,
-    matcher: _MatcherBase | None = None,
+    matcher: LibraryMatcher | None = None,
     objective: str = "delay",
     rounds: int = 0,
     recovery: str = "auto",
@@ -1118,7 +875,7 @@ def map_rounds(
     ``incremental=False`` forces every recovery re-solve to run the DP from
     scratch instead of diffing against the previous round's
     :class:`_DpState`; the results are identical (pinned by the equivalence
-    property tests), the flag exists for oracle comparisons.
+    property tests), the flag exists for those comparisons.
     """
     if rounds < 0:
         raise ValueError("rounds must be non-negative")
@@ -1159,81 +916,51 @@ def map_rounds(
         context.activity = activities.activity.tolist()
         context.probability = activities.probability.tolist()
 
-    with profiling.stage("cuts"):
+    with obs.stage("cuts"):
         cut_set = cut_set_for(aig, max_inputs=max_inputs, cut_limit=cut_limit)
         arrays = aig_arrays(aig)
 
-    # The batched DP engine needs the vectorized cost hooks on every model
-    # that will price candidates this call; a third-party model without them
-    # keeps the scalar oracle path for the whole run.
-    batched = _supports_batch(model) and (
-        recovery_model is None or _supports_batch(recovery_model)
-    )
-
-    and_node_list = arrays.and_nodes.tolist()
     fanout = arrays.fanout.tolist()
-    structural_references = [max(count, 1.0) for count in fanout]
 
     # Candidate tables are keyed by the preferred-cell policy (delay-optimal
     # vs area-optimal cell per canonical class) and shared between models;
     # prices are keyed by (model, policy).  Both are built at most once per
     # call.
-    candidate_tables: dict[str, object] = {}
-    price_tables: dict[tuple[str, str], object] = {}
+    candidate_tables: dict[str, CandidateTable] = {}
+    price_tables: dict[tuple[str, str], np.ndarray] = {}
 
     def tables_for(which: CostModel, prefer: str | None = None):
         prefer = which.prefer if prefer is None else prefer
         table = candidate_tables.get(prefer)
         if table is None:
-            table = candidate_tables[prefer] = (
-                _candidate_table_for(arrays, cut_set, matcher, prefer)
-                if batched
-                else _candidates_for(arrays, cut_set, matcher, prefer)
+            table = candidate_tables[prefer] = _candidate_table_for(
+                arrays, cut_set, matcher, prefer
             )
-            rows = (
-                table.num_rows
-                if batched
-                else sum(len(node_rows) for node_rows in table)
-            )
-            obs.count("mapper.candidate_rows", rows)
-            obs.annotate(candidate_rows=rows)
+            obs.count("mapper.candidate_rows", table.num_rows)
+            obs.annotate(candidate_rows=table.num_rows)
         prices = price_tables.get((which.name, prefer))
         if prices is None:
-            prices = price_tables[(which.name, prefer)] = (
-                which.price_batch(table, context)
-                if batched
-                else _price_candidates(and_node_list, table, which, context)
+            prices = price_tables[(which.name, prefer)] = which.price_batch(
+                table, context
             )
         return table, prices
 
-    dp_state: _DpState | None = None
     with obs.span(
         "map-round", category="round", round=0, objective=model.name
     ) as round_span:
-        with profiling.stage("match"):
+        with obs.stage("match"):
             candidates, prices = tables_for(model)
-            if batched:
-                dp_state = _dp_round_batched(
-                    aig,
-                    library,
-                    candidates,
-                    prices,
-                    model,
-                    np.maximum(arrays.fanout, 1).astype(np.float64),
-                )
-                choices = _BatchedChoices(candidates, dp_state.choice.copy())
-            else:
-                choices, _, _ = _dp_round(
-                    aig,
-                    library,
-                    and_node_list,
-                    candidates,
-                    prices,
-                    model,
-                    structural_references,
-                )
+            dp_state = _dp_round_batched(
+                aig,
+                library,
+                candidates,
+                prices,
+                model,
+                np.maximum(arrays.fanout, 1).astype(np.float64),
+            )
+            choices = _BatchedChoices(candidates, dp_state.choice.copy())
 
-        with profiling.stage("cover"):
+        with obs.stage("cover"):
             mapped, report = _cover(aig, library, choices, pin_capacitances)
         round_span.set("gates", len(mapped.gates))
         round_span.set("delay", mapped.normalized_delay)
@@ -1261,24 +988,13 @@ def map_rounds(
         # class): timing-critical nodes can then keep the fast cells round 0
         # used instead of degrading to the cheapest cell of the class.
         extra_candidates, extra_prices = tables_for(recovery_model, model.prefer)
-        if batched:
-            recovery_candidates, dest_base, dest_extra = _concat_candidate_tables(
-                recovery_candidates, extra_candidates
-            )
-            merged_prices = np.empty(
-                recovery_candidates.num_rows, dtype=np.float64
-            )
-            merged_prices[dest_base] = recovery_prices
-            merged_prices[dest_extra] = extra_prices
-            recovery_prices = merged_prices
-        else:
-            recovery_candidates = [
-                base + extra
-                for base, extra in zip(recovery_candidates, extra_candidates)
-            ]
-            recovery_prices = [
-                base + extra for base, extra in zip(recovery_prices, extra_prices)
-            ]
+        recovery_candidates, dest_base, dest_extra = _concat_candidate_tables(
+            recovery_candidates, extra_candidates
+        )
+        merged_prices = np.empty(recovery_candidates.num_rows, dtype=np.float64)
+        merged_prices[dest_base] = recovery_prices
+        merged_prices[dest_extra] = extra_prices
+        recovery_prices = merged_prices
 
     def cover_cost(mapped_round: MappedCircuit, round_choices) -> float:
         price = recovery_model.gate_cost
@@ -1297,7 +1013,7 @@ def map_rounds(
     # across rounds -- drift learned once stays compensated).
     margin = 0.0
 
-    with profiling.stage("recover"):
+    with obs.stage("recover"):
         for round_index in range(rounds):
             with obs.span(
                 "map-round",
@@ -1311,37 +1027,24 @@ def map_rounds(
                         arrays.num_nodes, best_report, baseline_delay - margin
                     )
                     references = _cover_references(best_mapped, fanout)
-                    if batched:
-                        # Incremental re-solve: between rounds (and deadline
-                        # retries) only the required/reference inputs move, so
-                        # the DP diffs against the previous solution and
-                        # re-chooses the affected cone only.
-                        dp_state = _dp_round_batched(
-                            aig,
-                            library,
-                            recovery_candidates,
-                            recovery_prices,
-                            recovery_model,
-                            np.asarray(references, dtype=np.float64),
-                            required=np.asarray(required, dtype=np.float64),
-                            load_aware=True,
-                            state=dp_state if incremental else None,
-                        )
-                        round_choices = _BatchedChoices(
-                            recovery_candidates, dp_state.choice.copy()
-                        )
-                    else:
-                        round_choices, _, _ = _dp_round(
-                            aig,
-                            library,
-                            and_node_list,
-                            recovery_candidates,
-                            recovery_prices,
-                            recovery_model,
-                            references,
-                            required=required,
-                            load_aware=True,
-                        )
+                    # Incremental re-solve: between rounds (and deadline
+                    # retries) only the required/reference inputs move, so the
+                    # DP diffs against the previous solution and re-chooses
+                    # the affected cone only.
+                    dp_state = _dp_round_batched(
+                        aig,
+                        library,
+                        recovery_candidates,
+                        recovery_prices,
+                        recovery_model,
+                        np.asarray(references, dtype=np.float64),
+                        required=np.asarray(required, dtype=np.float64),
+                        load_aware=True,
+                        state=dp_state if incremental else None,
+                    )
+                    round_choices = _BatchedChoices(
+                        recovery_candidates, dp_state.choice.copy()
+                    )
                     round_mapped, round_report = _cover(
                         aig, library, round_choices, pin_capacitances
                     )
@@ -1377,7 +1080,7 @@ def map_rounds(
 def technology_map(
     aig: Aig,
     library: GateLibrary,
-    matcher: _MatcherBase | None = None,
+    matcher: LibraryMatcher | None = None,
     objective: str = "delay",
     max_inputs: int = DEFAULT_MAX_INPUTS,
     cut_limit: int = DEFAULT_CUT_LIMIT,
@@ -1529,45 +1232,9 @@ def verify_mapping(mapped: MappedCircuit, aig: Aig, patterns: dict[str, list[int
     tables recorded during covering, and the primary outputs are compared
     against a packed simulation of the subject AIG on the same patterns.
     Gate evaluation is word-parallel (see :func:`_eval_table_word`); the
-    bit-at-a-time implementation is retained as
-    :func:`verify_mapping_reference` and the two are cross-checked by the
-    equivalence regression tests.
+    equivalence regression tests cross-check it against a bit-at-a-time
+    evaluation.
     """
     reference = aig.simulate_words(patterns)
     values = _resimulate_words(mapped, aig, patterns)
-    return _outputs_match(values, aig, reference)
-
-
-def verify_mapping_reference(
-    mapped: MappedCircuit, aig: Aig, patterns: dict[str, list[int]]
-) -> bool:
-    """Slow reference implementation of :func:`verify_mapping`.
-
-    Evaluates every gate one pattern bit at a time by assembling the minterm
-    index explicitly.  Kept as the independent oracle for the word-parallel
-    fast path.
-    """
-    reference = aig.simulate_words(patterns)
-    mask = (1 << 64) - 1
-    num_words = len(next(iter(patterns.values()))) if patterns else 1
-    values: dict[int, list[int]] = {0: [0] * num_words}
-    for name in aig.pi_names:
-        node = aig.pi_literal(name) >> 1
-        values[node] = [w & mask for w in patterns[name]]
-
-    for gate in topological_gates(mapped.gates):
-        leaf_words = [values[leaf] for leaf in gate.leaves]
-        output_words = []
-        for word_index in range(num_words):
-            word = 0
-            for bit in range(64):
-                minterm = 0
-                for position, leaf_values in enumerate(leaf_words):
-                    if (leaf_values[word_index] >> bit) & 1:
-                        minterm |= 1 << position
-                if (gate.table >> minterm) & 1:
-                    word |= 1 << bit
-            output_words.append(word)
-        values[gate.output] = output_words
-
     return _outputs_match(values, aig, reference)

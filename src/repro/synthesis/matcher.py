@@ -1,26 +1,24 @@
 """Boolean matching of cut functions against a gate library.
 
-Two matcher implementations share one interface (``match`` /
-``match_reduced`` / ``len``):
+:class:`LibraryMatcher` is an **NPN-canonical index**.  Every library cell
+is canonicalized once (:func:`repro.logic.npn.npn_canonicalize`) and the
+index stores a single entry per ``(arity, canonical class)``.  A cut is
+matched by canonicalizing its function and composing the cut's
+canonicalizing transform with the cell's stored transform, which yields
+exactly the pin assignment an exhaustive permutation/phase table would have
+looked up -- with orders of magnitude fewer index entries and no
+pre-expansion at build time (``tests/oracles/matcher.py`` keeps the
+exhaustive matcher the index is pinned to).
 
-* :class:`LibraryMatcher` -- the default **NPN-canonical index**.  Every
-  library cell is canonicalized once (:func:`repro.logic.npn.npn_canonicalize`)
-  and the index stores a single entry per ``(arity, canonical class)``.  A
-  cut is matched by canonicalizing its function (memoized) and composing the
-  cut's canonicalizing transform with the cell's stored transform, which
-  yields exactly the pin assignment the exhaustive matcher would have looked
-  up -- with orders of magnitude fewer index entries and no permutation/phase
-  pre-expansion at build time.
-* :class:`ExhaustiveLibraryMatcher` -- the original scheme, retained as the
-  reference implementation and for the matcher benchmarks: for every cell it
-  pre-computes every truth table reachable by permuting inputs,
-  complementing inputs and complementing the output, keyed by the raw table
-  bits.
+The mapper resolves whole cut sets at once: :func:`cut_function_table`
+deduplicates and canonicalizes the distinct cut functions in batch, and
+:meth:`LibraryMatcher.match_table` resolves them against the index into a
+columnar :class:`MatchTable`.  :meth:`LibraryMatcher.match` is the
+single-function lookup.
 
-Both matchers resolve ties between equally good cells by a stable
-``(cost, cell name)`` order, so the selected cell -- and therefore every
-downstream artifact -- is bit-identical across runs, hash seeds and matcher
-implementations.
+Ties between equally good cells resolve by a stable ``(cost, cell name)``
+order, so the selected cell -- and therefore every downstream artifact --
+is bit-identical across runs and hash seeds.
 
 The input/output phase freedom models the paper's statement that the mapping
 tool is aware of the extra gates obtained by swapping the signal polarities at
@@ -31,7 +29,6 @@ inverter providing both output polarities (Sec. 3.1 and 4.3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -52,12 +49,7 @@ from repro.synthesis.cut_kernels import (
     support_positions,
     table_support_batch,
 )
-from repro.synthesis.cuts import (
-    _track_cutset_memo,
-    project_table,
-    register_cut_cache,
-    table_support,
-)
+from repro.synthesis.cuts import _track_cutset_memo, register_cut_cache
 
 
 @dataclass(frozen=True)
@@ -84,9 +76,6 @@ def _area_order(candidate: CellMatch) -> tuple[float, float, str]:
 def _delay_order(candidate: CellMatch) -> tuple[float, float, str]:
     """Stable total order for delay-optimal selection (ties -> cell name)."""
     return (candidate.delay, candidate.area, candidate.cell.name)
-
-
-_ALL_POSITIONS = tuple(tuple(range(n)) for n in range(8))
 
 
 @dataclass(frozen=True)
@@ -256,96 +245,7 @@ def cut_function_table(
     return table
 
 
-class _MatcherBase:
-    """The lookup interface shared by both matcher implementations."""
-
-    library: GateLibrary
-
-    def cache_clear(self) -> None:
-        """Drop the per-matcher match memos (kept bounded between engine
-        batches through :func:`repro.synthesis.cuts.clear_cut_caches`)."""
-        self.__dict__.pop("_positions_memo", None)
-        memo = getattr(self, "_match_memo", None)
-        if memo is not None:
-            memo.clear()
-
-    def match(
-        self, num_leaves: int, table_bits: int, prefer: str = "delay"
-    ) -> CellMatch | None:
-        raise NotImplementedError
-
-    def match_positions(
-        self,
-        num_leaves: int,
-        table_bits: int,
-        prefer: str = "delay",
-        support_mask: int | None = None,
-    ) -> tuple[CellMatch, tuple[int, ...], int] | None:
-        """Match a cut function after projecting it onto its true support.
-
-        Returns the match, the leaf *positions* (indices into the cut's leaf
-        tuple) the matched table reads, and the reduced table bits -- or
-        ``None`` when the function is constant or no cell matches.  The
-        result depends only on ``(num_leaves, table_bits, prefer)``, so it is
-        memoized per matcher; the mapping DP resolves the position tuple
-        against each concrete cut's leaves.
-        """
-        memo = self.__dict__.get("_positions_memo")
-        if memo is None:
-            memo = self.__dict__["_positions_memo"] = {}
-        memo_key = (num_leaves, table_bits, prefer)
-        try:
-            return memo[memo_key]
-        except KeyError:
-            pass
-        if support_mask is None:
-            support_mask = table_support(table_bits, num_leaves)
-        result: tuple[CellMatch, tuple[int, ...], int] | None = None
-        if support_mask == 0:
-            pass
-        elif support_mask == (1 << num_leaves) - 1:
-            found = self.match(num_leaves, table_bits, prefer)
-            if found is not None:
-                result = (found, _ALL_POSITIONS[num_leaves], table_bits)
-        else:
-            reduced_bits = project_table(table_bits, num_leaves, support_mask)
-            support = tuple(
-                p for p in range(num_leaves) if (support_mask >> p) & 1
-            )
-            found = self.match(len(support), reduced_bits, prefer)
-            if found is not None:
-                result = (found, support, reduced_bits)
-        memo[memo_key] = result
-        return result
-
-    def match_reduced(
-        self,
-        leaves: tuple[int, ...],
-        table_bits: int,
-        prefer: str = "delay",
-        support_mask: int | None = None,
-    ) -> tuple[CellMatch, tuple[int, ...], int] | None:
-        """Match a cut after projecting its function onto its true support.
-
-        ``support_mask`` is the bitmask of leaf positions the function
-        depends on; pass the mask precomputed during cut enumeration
-        (:attr:`repro.synthesis.cuts.Cut.support`) to skip rederiving it.
-        Returns the match, the reduced leaf tuple (in the order seen by the
-        matched table) and the reduced table bits, or ``None`` when no cell
-        matches.  Thin wrapper over :meth:`match_positions`.
-        """
-        found = self.match_positions(
-            len(leaves), table_bits, prefer=prefer, support_mask=support_mask
-        )
-        if found is None:
-            return None
-        match, positions, reduced_bits = found
-        if len(positions) == len(leaves):
-            return match, tuple(leaves), reduced_bits
-        return match, tuple(leaves[p] for p in positions), reduced_bits
-
-
-class LibraryMatcher(_MatcherBase):
+class LibraryMatcher:
     """NPN-canonical match index for one library.
 
     The index stores, per ``(arity, canonical table)``, the best cell of the
@@ -383,14 +283,20 @@ class LibraryMatcher(_MatcherBase):
         """Number of stored index entries (one per matched canonical class)."""
         return len(self._by_area)
 
+    def cache_clear(self) -> None:
+        """Drop the single-function match memo (kept bounded between engine
+        batches through :func:`repro.synthesis.cuts.clear_cut_caches`)."""
+        self._match_memo.clear()
+
     def match(
         self, num_leaves: int, table_bits: int, prefer: str = "delay"
     ) -> CellMatch | None:
-        """Find the best cell realizing the cut function, or ``None``.
+        """Find the best cell realizing a ``num_leaves``-input function.
 
-        Functions that do not depend on all cut leaves are looked up on their
-        true support, so a 4-leaf cut whose function only uses 3 leaves can
-        still match a 3-input cell (the mapper handles the leaf projection).
+        The function is matched as given, over all ``num_leaves`` inputs;
+        project it onto its true support first to match a smaller cell
+        (:func:`cut_function_table` does that for the mapper's cuts).
+        Returns ``None`` when no cell of that arity matches.
         """
         memo_key = (num_leaves, table_bits, prefer)
         try:
@@ -435,8 +341,8 @@ class LibraryMatcher(_MatcherBase):
         One ``np.searchsorted`` per reduced arity finds the canonical class
         of every function; the returned pin assignments are the vectorized
         equivalent of ``compose_matches(entry.match, invert_match(t_cut))``.
-        :class:`CellMatch` objects are materialized only for matched rows (in
-        row order, exactly as the scalar candidate-table build appends them).
+        :class:`CellMatch` objects are materialized only for matched rows, in
+        row order.
         """
         per_arity = self._batch_index()[prefer if prefer == "delay" else "area"]
         count = functions.num_distinct
@@ -529,13 +435,12 @@ class LibraryMatcher(_MatcherBase):
         prefer: str = "delay",
         support_masks: np.ndarray | None = None,
     ) -> MatchTable:
-        """Batched :meth:`match_positions` over raw ``(size, table)`` arrays.
+        """Match raw ``(size, table)`` cut functions after support projection.
 
         Computes supports and projected tables with the batch kernels,
         canonicalizes every row and resolves the canonical index in one
         vectorized pass.  Row ``i`` of the returned :class:`MatchTable`
-        corresponds to input row ``i`` (``inverse`` is the identity); the
-        scalar :meth:`match_positions` is the pinned oracle.
+        corresponds to input row ``i`` (``inverse`` is the identity).
         """
         sizes = np.asarray(sizes, dtype=np.int64)
         tables = np.asarray(tables, dtype=np.uint64)
@@ -642,103 +547,21 @@ def _build_arity_index(
     return index
 
 
-class ExhaustiveLibraryMatcher(_MatcherBase):
-    """Pre-computed permutation/phase match tables for one library.
-
-    The original (reference) matcher: every reachable truth table of every
-    cell is materialized in a dictionary keyed by ``(arity, raw bits)``, so
-    matching is a single lookup but construction enumerates up to
-    ``2 * n! * 2**n`` variants per cell.
-    """
-
-    def __init__(self, library: GateLibrary, allow_output_negation: bool = True) -> None:
-        self.library = library
-        self.allow_output_negation = allow_output_negation
-        self._by_area: dict[tuple[int, int], CellMatch] = {}
-        self._by_delay: dict[tuple[int, int], CellMatch] = {}
-        self._build(allow_output_negation)
-
-    def _build(self, allow_output_negation: bool) -> None:
-        for cell in self.library.cells:
-            tables = _fast_permutation_phase_tables(
-                cell.function.bits, cell.arity, allow_output_negation
-            )
-            for bits, match in tables.items():
-                key = (cell.arity, bits)
-                candidate = CellMatch(cell, match)
-                best_area = self._by_area.get(key)
-                if best_area is None or _area_order(candidate) < _area_order(best_area):
-                    self._by_area[key] = candidate
-                best_delay = self._by_delay.get(key)
-                if best_delay is None or _delay_order(candidate) < _delay_order(
-                    best_delay
-                ):
-                    self._by_delay[key] = candidate
-
-    def __len__(self) -> int:
-        """Number of stored index entries (one per reachable raw table)."""
-        return len(self._by_area)
-
-    def match(
-        self, num_leaves: int, table_bits: int, prefer: str = "delay"
-    ) -> CellMatch | None:
-        """Single-dictionary-lookup match against the pre-expanded tables."""
-        table = self._by_delay if prefer == "delay" else self._by_area
-        return table.get((num_leaves, table_bits))
-
-
-def _fast_permutation_phase_tables(
-    bits: int, num_vars: int, include_output_negation: bool
-) -> dict[int, InputMatch]:
-    """Vectorized equivalent of :func:`repro.logic.npn.all_input_permutation_phase_tables`.
-
-    Enumerates every table reachable by permuting and complementing inputs
-    (and optionally complementing the output) using numpy gathers, which keeps
-    matcher construction fast even for the six-input cells (46k variants
-    each).  The returned matches carry the same semantics as the reference
-    implementation (verified by the matcher unit tests).
-    """
-    size = 1 << num_vars
-    column = np.fromiter(((bits >> i) & 1 for i in range(size)), dtype=np.uint8, count=size)
-    indices = np.arange(size, dtype=np.int64)
-    phases = np.arange(size, dtype=np.int64)
-    result: dict[int, InputMatch] = {}
-
-    for perm in permutations(range(num_vars)):
-        sigma = np.zeros(size, dtype=np.int64)
-        for new_position, old_position in enumerate(perm):
-            sigma |= ((indices >> new_position) & 1) << old_position
-        gathered = column[np.bitwise_xor.outer(phases, sigma)]
-        packed = np.packbits(gathered, axis=1, bitorder="little")
-        for phase in range(size):
-            table_bits = int.from_bytes(packed[phase].tobytes(), "little")
-            result.setdefault(table_bits, InputMatch(tuple(perm), phase, False))
-            if include_output_negation:
-                negated = table_bits ^ ((1 << size) - 1)
-                result.setdefault(negated, InputMatch(tuple(perm), phase, True))
-    return result
-
-
-_MATCHER_CACHE: dict[tuple[str, bool, str], _MatcherBase] = {}
+_MATCHER_CACHE: dict[tuple[str, bool], LibraryMatcher] = {}
 
 
 def matcher_for(
-    library: GateLibrary, allow_output_negation: bool = True, style: str = "npn"
-) -> _MatcherBase:
+    library: GateLibrary, allow_output_negation: bool = True
+) -> LibraryMatcher:
     """Build (and cache) the matcher of a library.
 
-    ``style`` selects the implementation: ``"npn"`` (default) builds the
-    canonical index, ``"exhaustive"`` the pre-expanded reference tables.
-    One matcher per (library, flags) is reused across all benchmarks of an
-    experiment run.
+    One matcher per (library, output-negation flag) is reused across all
+    benchmarks of an experiment run.
     """
-    if style not in ("npn", "exhaustive"):
-        raise ValueError("style must be 'npn' or 'exhaustive'")
-    key = (library.name, allow_output_negation, style)
+    key = (library.name, allow_output_negation)
     cached = _MATCHER_CACHE.get(key)
     if cached is None or cached.library is not library:
-        factory = LibraryMatcher if style == "npn" else ExhaustiveLibraryMatcher
-        cached = factory(library, allow_output_negation=allow_output_negation)
+        cached = LibraryMatcher(library, allow_output_negation=allow_output_negation)
         _MATCHER_CACHE[key] = cached
     return cached
 
@@ -763,37 +586,12 @@ class _MatcherMemoSweeper:
 
     def cache_sizes(self) -> dict[str, int]:
         """Per-memo breakdown surfaced by ``cut_cache_sizes`` (diagnostics)."""
-        positions_total = 0
-        match_total = 0
-        for matcher in _MATCHER_CACHE.values():
-            positions_total += len(matcher.__dict__.get("_positions_memo") or ())
-            match_total += len(getattr(matcher, "_match_memo", None) or ())
         return {
-            "matcher_positions_memo": positions_total,
-            "matcher_match_memo": match_total,
+            "matcher_match_memo": sum(
+                len(matcher._match_memo) for matcher in _MATCHER_CACHE.values()
+            ),
             "npn_batch_memo": canonicalizer_memo_size(),
         }
 
 
 register_cut_cache(_MatcherMemoSweeper())
-
-
-def _depends_on(table: int, num_vars: int, position: int) -> bool:
-    """Whether a raw truth table depends on the variable at ``position``.
-
-    Compatibility wrapper over the cached support computation in
-    :mod:`repro.synthesis.cuts`.
-    """
-    return bool((table_support(table, num_vars) >> position) & 1)
-
-
-def _project(table: int, num_vars: int, support: list[int]) -> int:
-    """Project a truth table onto a subset of its variables.
-
-    Compatibility wrapper over the cached projection in
-    :mod:`repro.synthesis.cuts`.
-    """
-    mask = 0
-    for position in support:
-        mask |= 1 << position
-    return project_table(table, num_vars, mask)

@@ -8,8 +8,9 @@ its irredundant cover (:func:`_isop`).  Three observations make that cheap:
   Both are bitwise intersections of per-variable cofactor masks
   (:data:`repro.synthesis.cut_kernels.VAR_PERIOD_MASKS`), so the former
   Python loops over ``2**n`` minterms collapse to ``O(n)`` mask ANDs.
-* **Cover programs.**  The gate sequence `_synthesize_sop` emits for a cover
-  is a pure function of the truth table: polarity choice, cube order and the
+* **Cover programs.**  The gate sequence a direct SOP synthesis of a cover
+  (``and_many`` per cube, ``or_many`` over the terms) emits is a pure
+  function of the truth table: polarity choice, cube order and the
   ascending-variable factor order are all fixed.  :func:`compile_cover`
   captures that sequence once per distinct ``(arity, table)`` as a
   :class:`CoverProgram` -- ``(negate, ((var, invert), ...) per cube)`` --
@@ -195,7 +196,8 @@ def replay_cover(
 ) -> AigLiteral:
     """Emit a compiled cover through ``and_gate``; returns the root literal.
 
-    Reproduces ``_synthesize_sop`` gate for gate: the same balanced-halving
+    Reproduces direct SOP synthesis (``Aig.and_many`` per cube,
+    ``Aig.or_many`` over the terms) gate for gate: the same balanced-halving
     pairing for the factors of each cube and for the (complemented) terms of
     the OR, in the same order, with the same constant conventions.
     ``and_gate`` is anything with :meth:`Aig.and_gate` semantics -- the real

@@ -17,12 +17,12 @@ from hypothesis import strategies as st
 from repro.analysis.activity import (
     compute_activities,
     exact_activities,
-    exact_activities_reference,
     exact_pi_words,
     monte_carlo_activities,
 )
 from repro.bench.registry import benchmark_by_name
 from repro.synthesis.aig import Aig
+from tests.oracles.activity import exact_activities_reference
 
 
 def _random_aig(seed: int, num_inputs: int, num_nodes: int) -> Aig:

@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from repro import obs, profiling
+from repro import obs
 from repro.core.families import LogicFamily
 from repro.experiments import faults
 from repro.experiments.engine import ExperimentEngine, MapJob
@@ -125,12 +125,12 @@ class TestProfileMerge:
     stage timings."""
 
     def _profile(self, jobs):
-        profiling.enable()
+        obs.enable_profile()
         try:
             ExperimentEngine(jobs=jobs, use_cache=False).run_map_jobs(_jobs())
-            return profiling.snapshot()
+            return obs.profile_snapshot()
         finally:
-            profiling.disable()
+            obs.disable_profile()
 
     def test_parallel_profile_matches_sequential_entry_counts(self):
         sequential = self._profile(1)
@@ -188,7 +188,7 @@ class TestFailureTelemetry:
 
     def test_exhausted_retries_count_degraded_inprocess(self):
         obs.enable_tracing()
-        profiling.enable(reset=False)
+        obs.enable_profile(reset=False)
         try:
             outcome = run_resilient(
                 _crash_in_pool_workers,
@@ -196,9 +196,9 @@ class TestFailureTelemetry:
                 jobs=2,
                 policy=RetryPolicy(max_attempts=2, backoff_base=0.01),
             )
-            counters = profiling.snapshot()["counters"]
+            counters = obs.profile_snapshot()["counters"]
         finally:
-            profiling.disable()
+            obs.disable_profile()
         assert outcome.results == [4, 8]
         assert counters["jobs.degraded_inprocess"] == 2
         # max_attempts=2: every job crashes twice before degrading.

@@ -69,6 +69,9 @@ class TestRunnerCli:
             assert flow in captured
         assert "passes:" in captured
         assert "Table 2" not in captured  # listing flows runs no experiments
+        # The reference passes are test oracles (tests/oracles/), not
+        # user-selectable flows or passes.
+        assert "reference" not in captured
 
     def test_flow_selection_runs_and_caches_separately(self, capsys, tmp_path):
         artifacts = tmp_path / "artifacts"

@@ -12,10 +12,10 @@ from repro.logic.npn import (
     compose_matches,
     enumerate_permutation_phase,
     invert_match,
-    npn_canonical_exhaustive,
     npn_canonicalize,
     npn_equivalent,
 )
+from tests.oracles.npn import npn_canonical_exhaustive
 
 
 def _tt(func, n):

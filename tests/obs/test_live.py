@@ -99,6 +99,15 @@ class TestRendering:
         progress.finish()  # forced final render
         assert "jobs 2/3" in stream.getvalue().split("\r")[-1]
 
+    def test_first_render_goes_through_near_the_clock_origin(self, monkeypatch):
+        # time.monotonic() has an arbitrary origin (often host uptime); a
+        # freshly booted host reads a few seconds, far below min_interval.
+        monkeypatch.setattr("repro.obs.live.time.monotonic", lambda: 5.0)
+        stream = io.StringIO()
+        progress = LiveProgress(stream=stream, min_interval=3600.0)
+        progress.start_batch(2)
+        assert "jobs 0/2" in stream.getvalue()
+
     def test_closed_stream_is_tolerated(self):
         stream = io.StringIO()
         progress = LiveProgress(stream=stream, min_interval=0.0)

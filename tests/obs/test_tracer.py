@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from repro import obs, profiling
+from repro import obs
 from repro.obs.tracer import SpanRecord
 
 
@@ -143,23 +143,23 @@ class TestModes:
         assert obs.spans()[0].category == "stage"
         assert obs.profile_snapshot()["entries"] == {"cover": 1}
 
-    def test_profile_shim_delegates_to_the_tracer(self):
-        profiling.enable()
+    def test_profile_mode_accumulates_stages_and_counters(self):
+        obs.enable_profile()
         try:
-            with profiling.stage("verify"):
-                profiling.count("checks", 3)
-            snapshot = profiling.snapshot()
+            with obs.stage("verify"):
+                obs.count("checks", 3)
+            snapshot = obs.profile_snapshot()
         finally:
-            profiling.disable()
+            obs.disable_profile()
         assert snapshot["entries"] == {"verify": 1}
         assert snapshot["counters"] == {"checks": 3}
-        assert profiling.active() is False
+        assert obs.profile_active() is False
 
     def test_trace_only_mode_does_not_claim_profile_active(self):
-        # The engine keys its verify stage off profiling.active(); tracing
+        # The engine keys its verify stage off obs.profile_active(); tracing
         # must never flip it or traced artifacts would diverge.
         obs.enable_tracing()
-        assert profiling.active() is False
+        assert obs.profile_active() is False
         assert obs.tracing_active() is True
 
     def test_enable_profile_preserves_a_live_trace(self):

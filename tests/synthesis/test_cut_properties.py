@@ -10,7 +10,7 @@ Two families of properties:
   either cofactor, so plain free-variable cone simulation would be too
   strong a specification.
 * **Implementation agreement** -- the vectorized kernel path must agree with
-  the retained pure-Python oracle ``enumerate_cuts_reference`` cut for cut
+  the pure-Python oracle ``enumerate_cuts_reference`` cut for cut
   (same leaves, same tables, same supports, same order), and each batched
   kernel must agree with its scalar counterpart on random inputs.
 """
@@ -30,10 +30,10 @@ from repro.synthesis.cut_kernels import (
 from repro.synthesis.cuts import (
     _expand_at_positions,
     enumerate_cuts,
-    enumerate_cuts_reference,
     enumerate_cuts_vectorized,
     table_support,
 )
+from tests.oracles.cuts import enumerate_cuts_reference
 
 
 @st.composite

@@ -1,4 +1,4 @@
-"""Vectorized mapper DP vs the retained scalar oracle.
+"""Vectorized mapper DP vs the scalar oracle in ``tests/oracles/mapper.py``.
 
 The batched DP of :mod:`repro.synthesis.mapper` must reproduce the scalar
 incumbent scan *decision for decision*: the ``1e-9`` epsilon tie-breaks are
@@ -7,14 +7,15 @@ different (equally "best") cell and silently change downstream artifacts.
 These tests pin that contract:
 
 * choice streams -- the selected candidate of every AND node, in order --
-  compared node-for-node between ``_dp_round`` and ``_dp_round_batched``,
+  compared node-for-node between the oracle ``dp_round`` and
+  ``_dp_round_batched``,
   on fixed benchmarks and hypothesis-generated random AIGs, for all three
   objectives, with and without required-time constraints;
 * ``_required_times`` edge cases (deadline below the worst arrival, nets
   outside the node range, empty covers);
 * the incremental recovery re-solve against the full re-solve
   (``map_rounds(incremental=True)`` == ``incremental=False``), and the
-  scalar fallback for cost models without batch hooks.
+  registration contract that rejects cost models without batch hooks.
 """
 
 import hashlib
@@ -30,23 +31,25 @@ from repro.core import LogicFamily, build_library
 from repro.flow import run_flow
 from repro.synthesis.aig import Aig
 from repro.synthesis.aig_array import aig_arrays
-from repro.synthesis.cost import MappingContext, cost_model_for
+from repro.synthesis.cost import (
+    MappingContext,
+    available_objectives,
+    cost_model_for,
+    register_cost_model,
+)
 from repro.synthesis.cuts import cut_set_for
 from repro.synthesis.mapper import (
     _BatchedChoices,
     _candidate_table_for,
-    _candidates_for,
     _cover,
     _cover_references,
-    _dp_round,
     _dp_round_batched,
     _pin_bindings,
-    _price_candidates,
     _required_times,
-    _supports_batch,
     map_rounds,
 )
 from repro.synthesis.matcher import matcher_for
+from tests.oracles.mapper import build_candidates, dp_round, price_candidates
 
 FAST_BENCHMARKS = ("add-16", "t481")
 
@@ -118,15 +121,14 @@ def _compare_streams(aig: Aig, objective: str, constrained: bool) -> None:
     """Scalar and batched DP must agree on every node's selected candidate
     (and bitwise on every arrival/flow) under identical inputs."""
     model = cost_model_for(objective)
-    assert _supports_batch(model)
     context = _context(aig, objective)
     arrays = aig_arrays(aig)
     cut_set = cut_set_for(aig)
     and_node_list = arrays.and_nodes.tolist()
     num_nodes = arrays.num_nodes
 
-    candidates = _candidates_for(arrays, cut_set, _MATCHER, model.prefer)
-    prices = _price_candidates(and_node_list, candidates, model, context)
+    candidates = build_candidates(arrays, cut_set, _MATCHER, model.prefer)
+    prices = price_candidates(and_node_list, candidates, model, context)
     table = _candidate_table_for(arrays, cut_set, _MATCHER, model.prefer)
     batch_prices = model.price_batch(table, context)
 
@@ -137,7 +139,7 @@ def _compare_streams(aig: Aig, objective: str, constrained: bool) -> None:
     if constrained:
         # Derive realistic constraints from the round-0 cover, exactly the
         # way the recovery driver does.
-        choices, _arr, _flow = _dp_round(
+        choices, _arr, _flow = dp_round(
             aig, _LIBRARY, and_node_list, candidates, prices, model, references
         )
         mapped, report = _cover(aig, _LIBRARY, choices, context.pin_capacitances)
@@ -147,7 +149,7 @@ def _compare_streams(aig: Aig, objective: str, constrained: bool) -> None:
         required_np = np.asarray(required, dtype=np.float64)
         load_aware = True
 
-    scalar_choices, scalar_arrival, scalar_flow = _dp_round(
+    scalar_choices, scalar_arrival, scalar_flow = dp_round(
         aig,
         _LIBRARY,
         and_node_list,
@@ -312,7 +314,7 @@ class TestIncrementalEquivalence:
 
 
 class _ScalarOnlyDelay:
-    """DelayCost semantics without the batch hooks: must take the scalar path."""
+    """DelayCost semantics without the batch hooks the mapper calls."""
 
     name = "delay-scalar-test"
     prefer = "delay"
@@ -326,18 +328,10 @@ class _ScalarOnlyDelay:
         )
 
 
-def test_models_without_batch_hooks_fall_back_to_scalar_path():
-    """A third-party model lacking price_batch/better_batch still maps, and
-    (with DelayCost's semantics) reproduces the batched delay mapping."""
-    from repro.synthesis.cost import _COST_MODELS
-
+def test_models_without_batch_hooks_are_rejected():
+    """Registration states the contract: a model lacking price_batch /
+    better_batch raises TypeError and never becomes a mapping objective."""
     model = _ScalarOnlyDelay()
-    assert not _supports_batch(model)
-    _COST_MODELS[model.name] = model
-    try:
-        aig = _subject("add-16")
-        scalar = map_rounds(aig, _LIBRARY, matcher=_MATCHER, objective=model.name)
-        batched = map_rounds(aig, _LIBRARY, matcher=_MATCHER, objective="delay")
-        assert _round_digests(scalar) == _round_digests(batched)
-    finally:
-        _COST_MODELS.pop(model.name, None)
+    with pytest.raises(TypeError, match="price_batch, better_batch"):
+        register_cost_model(model)
+    assert model.name not in available_objectives()

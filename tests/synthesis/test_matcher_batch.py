@@ -2,12 +2,13 @@
 
 The batched pipeline (``canonicalize_bits_batch_columns`` ->
 ``cut_function_table`` -> ``LibraryMatcher.match_positions_batch`` /
-``match_table``) must be a bit-for-bit drop-in for the retained scalar path:
-the same cut functions match, the same cells win, the composed pin
-assignments are *tuple-equal* (not merely equivalent), and the candidate
-tables the mapper builds from either path produce byte-identical mappings.
-The scalar ``match_positions`` (and ``REPRO_SCALAR_MATCH=1`` at the mapper
-level) is the pinned oracle throughout.
+``match_table``) must be a bit-for-bit drop-in for per-function scalar
+matching: the same cut functions match, the same cells win, the composed
+pin assignments are *tuple-equal* (not merely equivalent), and the
+candidate tables the mapper builds from either path produce byte-identical
+mappings.  The scalar ``match_positions`` of ``tests/oracles/matcher.py``
+(and, at the mapper level, mapping through its ``ScalarMatcher`` adapter)
+is the pinned oracle throughout.
 """
 
 import numpy as np
@@ -33,6 +34,7 @@ from repro.synthesis.matcher import (
     cut_function_table,
     matcher_for,
 )
+from tests.oracles.matcher import ScalarMatcher, match_positions
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +112,7 @@ class TestBatchedMatchParity:
         result = matcher.match_positions_batch(sizes, values, prefer)
         assert result.inverse.tolist() == list(range(len(tables)))
         for row, bits in enumerate(tables):
-            scalar = matcher.match_positions(arity, bits, prefer=prefer)
+            scalar = match_positions(matcher, arity, bits, prefer=prefer)
             if scalar is None:
                 assert not result.matched[row]
                 assert result.match_index[row] == -1
@@ -179,7 +181,7 @@ class TestCutFunctionTable:
         assert cut_function_table(cut_set, arrays.and_nodes) is first
         sizes = cut_cache_sizes()
         assert sizes.get("cutset_memos", 0) > 0
-        assert "matcher_positions_memo" in sizes
+        assert "matcher_match_memo" in sizes
         assert "npn_batch_memo" in sizes
 
     def test_match_table_counters_and_span(self, subject, tg_library):
@@ -213,21 +215,22 @@ class TestCutFunctionTable:
 
 class TestMapperPathParity:
     @pytest.mark.parametrize("max_inputs", [4, 6])
-    def test_scalar_forced_mapping_is_identical(
-        self, monkeypatch, tg_library, max_inputs
-    ):
-        """``REPRO_SCALAR_MATCH=1`` must reproduce the batched mapping
-        gate-for-gate at every cut width (the mapper-level parity pin)."""
+    def test_scalar_forced_mapping_is_identical(self, tg_library, max_inputs):
+        """Mapping through the scalar oracle must reproduce the batched
+        mapping gate-for-gate at every cut width (the mapper-level parity
+        pin)."""
         aig = run_flow("resyn2rs", benchmark_by_name("t481").build()).aig
         matcher = matcher_for(tg_library)
         batched = technology_map(
             aig, tg_library, matcher=matcher, max_inputs=max_inputs
         )
-        monkeypatch.setenv("REPRO_SCALAR_MATCH", "1")
         # Fresh cut set state so the scalar run rebuilds its own tables.
         scalar_aig = run_flow("resyn2rs", benchmark_by_name("t481").build()).aig
         scalar = technology_map(
-            scalar_aig, tg_library, matcher=matcher, max_inputs=max_inputs
+            scalar_aig,
+            tg_library,
+            matcher=ScalarMatcher(matcher),
+            max_inputs=max_inputs,
         )
         assert [
             (g.output, g.cell_name, g.leaves, g.table, g.inverted)

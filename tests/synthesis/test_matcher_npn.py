@@ -3,8 +3,9 @@
 The canonical index must be a drop-in replacement: the same cuts match, the
 same cells win (stable tie-break), the composed pin assignments realize the
 cut functions, and the Table-3 statistics of every mapping are bit-identical
-at every cut width.  The fast lane exercises a benchmark subset; the full
-15-benchmark sweep rides in ``benchmarks/test_flow_bench.py`` (slow lane).
+at every cut width.  The fast lane exercises a benchmark subset; the slow
+lane adds the mid-size C1908.  The exhaustive matcher and the scalar
+match-table adapter are the oracles of ``tests/oracles/matcher.py``.
 """
 
 import random
@@ -15,14 +16,15 @@ from repro.bench.registry import benchmark_by_name
 from repro.core import LogicFamily, build_library
 from repro.flow import run_flow
 from repro.logic.npn import apply_match
-from repro.synthesis.matcher import (
-    ExhaustiveLibraryMatcher,
-    LibraryMatcher,
-    matcher_for,
-)
+from repro.synthesis.matcher import LibraryMatcher, matcher_for
 from repro.synthesis.mapper import technology_map
+from tests.oracles.matcher import (
+    ExhaustiveLibraryMatcher,
+    ScalarMatcher,
+    match_reduced,
+)
 
-SUBSET = ("add-16", "C1355", "t481")
+SUBSET = ("add-16", "C1355", "t481", pytest.param("C1908", marks=pytest.mark.slow))
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +45,11 @@ def npn_matcher(tg_static_library):
 @pytest.fixture(scope="module")
 def exhaustive_matcher(tg_static_library):
     return ExhaustiveLibraryMatcher(tg_static_library)
+
+
+@pytest.fixture(scope="module")
+def exhaustive_cmos_matcher(cmos_library):
+    return ExhaustiveLibraryMatcher(cmos_library)
 
 
 class TestIndexShape:
@@ -123,8 +130,8 @@ class TestMatchEquivalence:
         for minterm in range(8):
             if (minterm & 1) and (minterm & 4):
                 table |= 1 << minterm
-        ours = npn_matcher.match_reduced((10, 11, 12), table)
-        reference = exhaustive_matcher.match_reduced((10, 11, 12), table)
+        ours = match_reduced(npn_matcher, (10, 11, 12), table)
+        reference = match_reduced(exhaustive_matcher, (10, 11, 12), table)
         assert ours is not None and reference is not None
         assert ours[1] == reference[1] == (10, 12)
         assert ours[2] == reference[2]
@@ -135,21 +142,30 @@ class TestMappingBitIdentity:
     @pytest.mark.parametrize("benchmark_name", SUBSET)
     @pytest.mark.parametrize("max_inputs", (4, 6))
     def test_mapping_statistics_identical(
-        self, benchmark_name, max_inputs, tg_static_library, cmos_library
+        self,
+        benchmark_name,
+        max_inputs,
+        tg_static_library,
+        cmos_library,
+        exhaustive_matcher,
+        exhaustive_cmos_matcher,
     ):
         """NPN-matched mapping reproduces the exhaustive (seed) Table-3 numbers."""
         aig = run_flow("resyn2rs", benchmark_by_name(benchmark_name).build()).aig
-        for library in (tg_static_library, cmos_library):
+        for library, exhaustive in (
+            (tg_static_library, exhaustive_matcher),
+            (cmos_library, exhaustive_cmos_matcher),
+        ):
             ours = technology_map(
                 aig,
                 library,
-                matcher=matcher_for(library, style="npn"),
+                matcher=matcher_for(library),
                 max_inputs=max_inputs,
             )
             reference = technology_map(
                 aig,
                 library,
-                matcher=matcher_for(library, style="exhaustive"),
+                matcher=ScalarMatcher(exhaustive),
                 max_inputs=max_inputs,
             )
             assert ours.statistics() == reference.statistics()
@@ -157,11 +173,12 @@ class TestMappingBitIdentity:
                 gate.cell_name for gate in reference.gates
             ]
 
-    def test_matcher_for_styles_and_validation(self, tg_static_library):
-        assert isinstance(matcher_for(tg_static_library, style="npn"), LibraryMatcher)
-        assert isinstance(
-            matcher_for(tg_static_library, style="exhaustive"),
-            ExhaustiveLibraryMatcher,
-        )
-        with pytest.raises(ValueError):
-            matcher_for(tg_static_library, style="magic")
+    def test_matcher_for_caches_one_canonical_matcher(self, tg_static_library):
+        matcher = matcher_for(tg_static_library)
+        assert isinstance(matcher, LibraryMatcher)
+        assert matcher_for(tg_static_library) is matcher
+        np_only = matcher_for(tg_static_library, allow_output_negation=False)
+        assert np_only is not matcher
+        assert not np_only.allow_output_negation
+        with pytest.raises(TypeError):
+            matcher_for(tg_static_library, style="exhaustive")

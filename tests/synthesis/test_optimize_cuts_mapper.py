@@ -155,19 +155,19 @@ class TestMatcher:
         assert matcher.match(2, 0b0110) is None
         assert matcher.match(2, 0b1000) is not None
 
-    def test_match_reduced_projects_support(self, tg_static_library):
+    def test_batch_match_projects_support(self, tg_static_library):
         matcher = LibraryMatcher(tg_static_library)
         # A 3-leaf cut whose function ignores the middle leaf: x0 & x2.
         table = 0
         for minterm in range(8):
             if (minterm & 1) and (minterm & 4):
                 table |= 1 << minterm
-        found = matcher.match_reduced((10, 11, 12), table)
-        assert found is not None
-        match, leaves, reduced_bits = found
-        assert leaves == (10, 12)
-        assert reduced_bits == 0b1000
-        assert match.cell.arity == 2
+        found = matcher.match_positions_batch([3], [table])
+        assert found.matched[0]
+        width = int(found.width[0])
+        assert tuple(found.positions[0, :width].tolist()) == (0, 2)
+        assert int(found.reduced[0]) == 0b1000
+        assert found.matches[int(found.match_index[0])].cell.arity == 2
 
     def test_phase_freedom(self, tg_static_library):
         matcher = LibraryMatcher(tg_static_library)

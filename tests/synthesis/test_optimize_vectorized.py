@@ -1,19 +1,20 @@
-"""Vectorized resynthesis passes vs the retained reference oracles.
+"""Vectorized resynthesis passes vs the reference oracles.
 
-PR 6 pinned the mapper DP to its scalar oracle decision for decision; the
+The mapper DP is pinned to its scalar oracle decision for decision; the
 vectorized ``balance``/``rewrite`` passes carry the same contract: the
-array-backed fast paths must reproduce the reference passes **node for
-node** -- same candidate order, same gate-emission stream (losing rewrite
-candidates included, since their structural-hash side effects feed later
-cost decisions), same structural hashing order, same levels -- so that every
-table2/table3/figure6/pareto artifact stays byte-identical whichever arm the
-dispatch picks.  These tests pin that contract:
+array-backed passes must reproduce the reference passes of
+``tests/oracles/optimize.py`` **node for node** -- same candidate order,
+same gate-emission stream (losing rewrite candidates included, since their
+structural-hash side effects feed later cost decisions), same structural
+hashing order, same levels -- so that every table2/table3/figure6/pareto
+artifact stays byte-identical to the original algorithms.  These tests pin
+that contract:
 
 * full-graph signatures and per-node choice streams (``trace``) compared on
-  registered benchmarks and hypothesis-generated AIGs, for rewrite at
-  K=3/4/5 and balance, with the vectorized arm forced on small graphs too;
-* the complete ``resyn2rs`` flow against ``resyn2rs-reference`` (the oracle
-  flow registered from the reference passes);
+  registered benchmarks and hypothesis-generated AIGs (small graphs
+  included), for rewrite at K=3/4/5 and balance;
+* the complete ``resyn2rs`` flow against its oracle twin (the same flow
+  spec and driver with the reference passes bound to its pass names);
 * the heapq scheduling of ``balance_reference`` against a verbatim copy of
   the original ``ordered.pop(0)``/``insert`` algorithm;
 * the NPN-class rewrite library: member programs replayed through
@@ -24,32 +25,17 @@ dispatch picks.  These tests pin that contract:
   replaced, and all three cut enumerators cut for cut.
 """
 
-import importlib
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-# ``repro.synthesis`` re-exports the ``optimize`` *function*, which shadows
-# the submodule attribute -- fetch the module itself for threshold patching.
-optimize_module = importlib.import_module("repro.synthesis.optimize")
 from repro.bench.registry import benchmark_by_name
 from repro.flow import run_flow
 from repro.synthesis.aig import Aig, CONST0, CONST1, lit_is_complemented, lit_node
 from repro.synthesis.aig_array import aig_arrays
-from repro.synthesis.cuts import (
-    _cut_set_from_dict,
-    enumerate_cuts_reference,
-    enumerate_cuts_scalar,
-    enumerate_cuts_vectorized,
-)
-from repro.synthesis.optimize import (
-    balance,
-    balance_reference,
-    rewrite,
-    rewrite_reference,
-)
+from repro.synthesis.cuts import enumerate_cuts_scalar, enumerate_cuts_vectorized
+from repro.synthesis.optimize import balance, rewrite
 from repro.synthesis.rewrite_lib import (
     REWRITE_LIBRARY,
     _cube_minterms,
@@ -57,6 +43,12 @@ from repro.synthesis.rewrite_lib import (
     compile_ops,
     replay_cover,
     replay_ops,
+)
+from tests.oracles.cuts import cut_set_from_dict, enumerate_cuts_reference
+from tests.oracles.optimize import (
+    balance_reference,
+    rewrite_reference,
+    run_reference_flow,
 )
 
 FAST_BENCHMARKS = ("add-16", "t481")
@@ -77,6 +69,30 @@ def _random_aig(seed: int, num_inputs: int, num_nodes: int) -> Aig:
     return aig
 
 
+def _degenerate_aig(kind: str) -> Aig:
+    """Tiny graphs at the edges of the array passes' input space."""
+    aig = Aig(kind)
+    if kind == "empty":
+        return aig
+    x = aig.add_pi("x")
+    y = aig.add_pi("y")
+    if kind == "wires":
+        aig.add_po("x", x)
+        aig.add_po("nx", x ^ 1)
+        aig.add_po("zero", CONST0)
+        aig.add_po("one", CONST1)
+    elif kind == "single-and":
+        gate = aig.and_gate(x, y)
+        aig.add_po("g", gate)
+        aig.add_po("ng", gate ^ 1)
+        aig.add_po("x", x)
+    elif kind == "dead-logic":
+        z = aig.add_pi("z")
+        aig.and_gate(aig.and_gate(x, y), z)
+        aig.add_po("x", x)
+    return aig
+
+
 def _signature(aig: Aig) -> tuple:
     """Full structural identity: every node's fanins/level, POs, names."""
     return (
@@ -87,24 +103,11 @@ def _signature(aig: Aig) -> tuple:
     )
 
 
-class _forced_vectorized:
-    """Temporarily drop the dispatch threshold so tiny graphs take the
-    vectorized arm (the dispatch must be behaviourally invisible)."""
-
-    def __enter__(self):
-        self._saved = optimize_module.PASS_VECTOR_THRESHOLD
-        optimize_module.PASS_VECTOR_THRESHOLD = 0
-
-    def __exit__(self, *exc):
-        optimize_module.PASS_VECTOR_THRESHOLD = self._saved
-
-
 def _compare_rewrite(aig: Aig, max_inputs: int) -> None:
     reference_trace: list = []
     reference = rewrite_reference(aig, max_inputs=max_inputs, trace=reference_trace)
-    with _forced_vectorized():
-        fast_trace: list = []
-        fast = rewrite(aig, max_inputs=max_inputs, trace=fast_trace)
+    fast_trace: list = []
+    fast = rewrite(aig, max_inputs=max_inputs, trace=fast_trace)
     assert fast_trace == reference_trace, "rewrite choice streams diverge"
     assert _signature(fast) == _signature(reference)
 
@@ -112,9 +115,8 @@ def _compare_rewrite(aig: Aig, max_inputs: int) -> None:
 def _compare_balance(aig: Aig) -> None:
     reference_trace: list = []
     reference = balance_reference(aig, trace=reference_trace)
-    with _forced_vectorized():
-        fast_trace: list = []
-        fast = balance(aig, trace=fast_trace)
+    fast_trace: list = []
+    fast = balance(aig, trace=fast_trace)
     assert fast_trace == reference_trace, "balance choice streams diverge"
     assert _signature(fast) == _signature(reference)
 
@@ -131,11 +133,21 @@ class TestPassParity:
     def test_benchmark_balance(self, bench_name):
         _compare_balance(benchmark_by_name(bench_name).build())
 
+    @pytest.mark.parametrize("kind", ("empty", "wires", "single-and", "dead-logic"))
+    def test_degenerate_graphs(self, kind):
+        aig = _degenerate_aig(kind)
+        for max_inputs in (3, 4, 5):
+            _compare_rewrite(aig, max_inputs)
+        _compare_balance(aig)
+        fast = run_flow("resyn2rs", aig)
+        reference = run_reference_flow("resyn2rs", aig)
+        assert _signature(fast.aig) == _signature(reference.aig)
+
     @pytest.mark.parametrize("bench_name", FAST_BENCHMARKS)
     def test_benchmark_resyn2rs_flow(self, bench_name):
         aig = benchmark_by_name(bench_name).build()
         fast = run_flow("resyn2rs", aig)
-        reference = run_flow("resyn2rs-reference", aig)
+        reference = run_reference_flow("resyn2rs", aig)
         assert _signature(fast.aig) == _signature(reference.aig)
         assert len(fast.passes) == len(reference.passes)
 
@@ -167,7 +179,7 @@ class TestPassParity:
     def test_random_resyn2rs_flow(self, seed, num_inputs, num_nodes):
         aig = _random_aig(seed, num_inputs, num_nodes)
         fast = run_flow("resyn2rs", aig)
-        reference = run_flow("resyn2rs-reference", aig)
+        reference = run_reference_flow("resyn2rs", aig)
         assert _signature(fast.aig) == _signature(reference.aig)
 
 
@@ -362,7 +374,7 @@ class TestEnumeratorParity:
         aig = benchmark_by_name(bench_name).build()
         scalar = enumerate_cuts_scalar(aig, max_inputs, cut_limit)
         vectorized = enumerate_cuts_vectorized(aig, max_inputs, cut_limit)
-        reference = _cut_set_from_dict(
+        reference = cut_set_from_dict(
             enumerate_cuts_reference(aig, max_inputs, cut_limit),
             aig_arrays(aig),
             max_inputs,
@@ -384,7 +396,7 @@ class TestEnumeratorParity:
         aig = _random_aig(seed, num_inputs, num_nodes)
         scalar = enumerate_cuts_scalar(aig, 4, 4)
         vectorized = enumerate_cuts_vectorized(aig, 4, 4)
-        reference = _cut_set_from_dict(
+        reference = cut_set_from_dict(
             enumerate_cuts_reference(aig, 4, 4), aig_arrays(aig), 4, 4
         )
         for other in (vectorized, reference):

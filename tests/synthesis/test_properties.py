@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from repro.synthesis.aig import Aig, lit_node
 from repro.synthesis.cuts import enumerate_cuts
-from repro.synthesis.optimize import _cube_minterms, _isop, balance, rewrite
+from repro.synthesis.optimize import balance, rewrite
+from repro.synthesis.rewrite_lib import _cube_minterms, _isop
 from repro.logic.simulation import random_pattern_words
 
 

@@ -2,8 +2,8 @@
 
 For Table-3 benchmarks and the three mapping libraries, the mapped netlist
 is re-simulated with both the Shannon-expansion fast path
-(:func:`repro.synthesis.mapper.verify_mapping`) and the retained
-bit-at-a-time reference (:func:`verify_mapping_reference`) on random packed
+(:func:`repro.synthesis.mapper.verify_mapping`) and the
+bit-at-a-time oracle (``tests/oracles/mapper.py``) on random packed
 patterns; both must accept the mapping, and both must reject a deliberately
 corrupted netlist.  A small subset runs in the default lane; the full
 15-benchmark sweep is marked ``slow``.
@@ -18,14 +18,10 @@ from repro.core.families import LogicFamily
 from repro.core.library import build_library
 from repro.experiments.table3 import TABLE3_FAMILIES
 from repro.logic.simulation import random_pattern_words
-from repro.synthesis.mapper import (
-    MappedGate,
-    technology_map,
-    verify_mapping,
-    verify_mapping_reference,
-)
+from repro.synthesis.mapper import MappedGate, technology_map, verify_mapping
 from repro.synthesis.matcher import matcher_for
 from repro.synthesis.optimize import optimize
+from tests.oracles.mapper import verify_mapping_reference
 
 FAST_SUBSET = ("add-16", "t481", "C1355")
 FULL_SET = tuple(case.name for case in BENCHMARKS)
