@@ -13,7 +13,7 @@ from repro.bench.generators.adders import ripple_adder_circuit
 from repro.bench.generators.multiplier import array_multiplier_circuit
 from repro.core.families import LogicFamily, build_family_cells
 from repro.core.library import build_library
-from repro.logic.npn import clear_canonicalizer_memo
+from repro.logic import npn
 from repro.synthesis.aig_array import aig_arrays
 from repro.synthesis.cuts import cut_set_for, enumerate_cuts
 from repro.synthesis.mapper import technology_map
@@ -76,7 +76,7 @@ def test_bench_matching_batch(benchmark, multiplier_aig, libraries, matchers):
     def run():
         for field in ("_match_tables", "_function_tables", "_projected"):
             cut_set.__dict__.pop(field, None)
-        clear_canonicalizer_memo()
+        npn._COLUMN_MEMO.clear()
         return matcher.match_table(cut_set, arrays.and_nodes, "delay")
 
     table = benchmark(run)

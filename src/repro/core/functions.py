@@ -109,6 +109,7 @@ TABLE1_FUNCTIONS: tuple[FunctionSpec, ...] = (
 CMOS_FUNCTION_IDS: tuple[str, ...] = ("F00", "F02", "F03", "F10", "F11", "F12", "F13")
 
 
+# Process-lifetime, a single entry.
 @lru_cache(maxsize=None)
 def _function_index() -> dict[str, FunctionSpec]:
     return {spec.function_id: spec for spec in TABLE1_FUNCTIONS}

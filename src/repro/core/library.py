@@ -94,6 +94,7 @@ class GateLibrary:
         return "\n".join(lines) + "\n"
 
 
+# Process-lifetime, keyed by the finite family registry (and cell subset).
 @lru_cache(maxsize=None)
 def build_library(
     family: LogicFamily,

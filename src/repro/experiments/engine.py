@@ -86,8 +86,6 @@ from repro.synthesis.aig_array import aig_arrays
 from repro.synthesis.cuts import (
     DEFAULT_CUT_LIMIT,
     DEFAULT_MAX_INPUTS,
-    clear_cut_caches,
-    cut_cache_sizes,
     cut_set_for,
 )
 from repro.synthesis.mapper import technology_map, verify_mapping
@@ -168,6 +166,7 @@ def library_fingerprint(library: GateLibrary) -> str:
     return digest.hexdigest()
 
 
+# Process-lifetime, keyed by the finite family registry.
 @lru_cache(maxsize=None)
 def _family_fingerprint(family: LogicFamily) -> str:
     """Per-family memo of :func:`library_fingerprint` (libraries are cached)."""
@@ -450,70 +449,32 @@ def _resolve_cases(benchmark_names: tuple[str, ...] | None):
     return cases
 
 
-# Per-process memo of flow-optimized benchmark AIGs so the three family jobs
-# of one benchmark that land in the same process run the flow only once.
+# Flow-optimized benchmark AIGs, so the three family jobs of one benchmark
+# that land in the same process run the flow only once.  Lives for the
+# process, keyed by the finite (benchmark, flow) registry: a later batch
+# reuses flow outputs (e.g. --pareto after Table 3).  run_map_jobs strips
+# their cut and array memos at batch end.
 _OPTIMIZED_AIGS: dict[tuple[str, str], Aig] = {}
 
-# Per-process memo of activity reports: the signal statistics depend only on
-# (benchmark, flow, vectors, seed), so the family x objective jobs of one
-# benchmark share a single propagation.
+# Activity reports: the signal statistics depend only on (benchmark, flow,
+# vectors, seed), so the family x objective jobs of one benchmark share a
+# single propagation.  Lives for one batch: run_map_jobs clears it at the end.
 _ACTIVITY_REPORTS: dict[tuple[str, str, int, int], object] = {}
 
-# Cache-epoch protocol (worker-side memo hygiene).  The parent bumps
-# _CACHE_EPOCH once per run_map_jobs batch and stamps it on every shipped
-# job; a pool worker whose _WORKER_EPOCH disagrees drops its per-process
-# memos before running the job.  Freshly forked workers are stamped by the
-# pool initializer, so within one batch the inherited warm caches (prewarmed
-# matchers, published subjects) survive -- only a worker *reused across
-# batches* resets, which is exactly the unbounded-growth case the parent's
-# own ``finally`` cleanup never reached.  _WORKER_EPOCH stays ``None`` in
-# the parent: in-process job execution (jobs=1, pool-failure fallback) must
-# not clear the parent memos mid-run.
-_CACHE_EPOCH = 0
-_WORKER_EPOCH: int | None = None
 
+def _pool_initializer(obs_config: dict | None = None) -> None:
+    """Prepare a fresh pool worker.
 
-def _reset_worker_state(epoch: int) -> None:
-    """Drop per-process memos grown under a previous cache epoch."""
-    global _WORKER_EPOCH
-    _OPTIMIZED_AIGS.clear()
-    _ACTIVITY_REPORTS.clear()
-    clear_cut_caches()
-    shm.drop_attachments()
-    _WORKER_EPOCH = epoch
-
-
-def _pool_initializer(epoch: int, obs_config: dict | None = None) -> None:
-    """Stamp a fresh pool worker with the batch's cache epoch.
-
-    Also installs any fault plan carried by the environment -- only here,
-    so chaos faults fire exclusively in pool workers and the parent's
+    Installs any fault plan carried by the environment -- only here, so
+    chaos faults fire exclusively in pool workers and the parent's
     deterministic in-process path stays fault-free by construction -- and
     adopts the parent's observability switches (``obs_config``, see
     :func:`repro.obs.worker_config`): the worker clears any span buffer it
     inherited through ``fork`` and starts buffering telemetry per job for
     shipment back inside the payloads.
     """
-    global _WORKER_EPOCH
-    _WORKER_EPOCH = epoch
     obs.activate_worker(obs_config)
     faults.install_from_env()
-
-
-def _worker_cache_footprint() -> dict[str, int]:
-    """Sizes of every per-process memo (cache-boundedness diagnostics)."""
-    sizes = cut_cache_sizes()
-    return {
-        "optimized_aigs": len(_OPTIMIZED_AIGS),
-        "activity_reports": len(_ACTIVITY_REPORTS),
-        "cut_cache_entries": sum(sizes.values()),
-        "matcher_memos": (
-            sizes.get("matcher_match_memo", 0)
-            + sizes.get("npn_batch_memo", 0)
-        ),
-        "match_tables": sizes.get("cutset_memos", 0),
-        "shm_attachments": shm.attachment_count(),
-    }
 
 
 def _subject_aig(benchmark: str, flow: str) -> Aig:
@@ -564,14 +525,14 @@ def _attach_obs(payload: dict) -> dict:
 def _run_map_job(transport: tuple) -> dict:
     """Execute one mapping job (worker-side; must stay picklable/pure).
 
-    ``transport`` is ``(spec, epoch, subject_handle_or_None)``: the job spec
-    proper, the batch's cache epoch (see :func:`_reset_worker_state`) and,
+    ``transport`` is ``(spec, subject_handle_or_None)``: the job spec and,
     when the parent published the optimized subject, the shared-memory
-    handle that lets this process skip the flow and cut enumeration.
+    handle that lets this process skip the flow and cut enumeration.  A
+    failed attach is reported back in the payload (``shm_degraded``), which
+    the parent counts and strips before caching.
     """
-    spec, epoch, handle = transport
-    if _WORKER_EPOCH is not None and _WORKER_EPOCH != epoch:
-        _reset_worker_state(epoch)
+    spec, handle = transport
+    degraded = False
     (
         benchmark,
         family_value,
@@ -601,7 +562,7 @@ def _run_map_job(transport: tuple) -> dict:
                 job_span.set("shm_subject", handle.key)
             except (OSError, ValueError):
                 # Unreadable segment: recompute the subject from the spec.
-                shm.note_degraded()
+                degraded = True
         aig = _subject_aig(benchmark, flow)
         job_span.set("aig_nodes", aig.num_ands)
         library = build_library(family)
@@ -648,6 +609,8 @@ def _run_map_job(transport: tuple) -> dict:
             "aig_nodes": aig.num_ands,
             "aig_depth": aig.depth(),
         }
+    if degraded:
+        payload["shm_degraded"] = 1
     return _attach_obs(payload)
 
 
@@ -806,11 +769,13 @@ class ExperimentEngine:
                 prepare_parallel(pending)
 
             def commit(index: int, payload: dict) -> None:
-                # Worker-side telemetry rides back inside the payload; fold
-                # it into the parent's buffer and strip it before the
-                # payload is cached or decoded (observability must never
-                # leak into content-addressed artifacts).
+                # Worker-side telemetry and transport fallbacks ride back
+                # inside the payload; fold them into the parent's counters
+                # and strip them before the payload is cached or decoded
+                # (they must never leak into content-addressed artifacts).
                 obs.merge_blob(payload.pop("obs", None))
+                if payload.pop("shm_degraded", False):
+                    shm.note_degraded()
                 if self.progress is not None:
                     self.progress.job_done()
                 # Committed the moment each job finishes, not at batch end:
@@ -876,15 +841,12 @@ class ExperimentEngine:
 
     def run_map_jobs(self, jobs: Sequence[MapJob]) -> dict[MapJob, MapJobResult]:
         """Run mapping jobs (cache first, then processes) and decode results."""
-        global _CACHE_EPOCH
         subject_aigs: dict[str, Aig] = {}
         keys: dict[MapJob, str] = {}
         for job in jobs:
             if job.benchmark not in subject_aigs:
                 subject_aigs[job.benchmark] = benchmark_by_name(job.benchmark).build()
             keys[job] = self.map_job_key(job, subject_aigs[job.benchmark])
-        _CACHE_EPOCH += 1
-        epoch = _CACHE_EPOCH
         handles: dict[tuple[str, str, int, int], shm.SubjectHandle] = {}
 
         def subject_of(job: MapJob) -> tuple[str, str, int, int]:
@@ -923,12 +885,10 @@ class ExperimentEngine:
                         continue
 
         def transport(job: MapJob) -> tuple:
-            return (job.spec(), epoch, handles.get(subject_of(job)))
+            return (job.spec(), handles.get(subject_of(job)))
 
         try:
-            with obs.span(
-                "run_map_jobs", category="engine", jobs=len(jobs), epoch=epoch
-            ):
+            with obs.span("run_map_jobs", category="engine", jobs=len(jobs)):
                 raw = self._run_jobs(
                     _run_map_job,
                     list(jobs),
@@ -936,16 +896,15 @@ class ExperimentEngine:
                     prepare_parallel=prepare_parallel,
                     transport=transport,
                     initializer=_pool_initializer,
-                    initargs=(epoch, obs.worker_config()),
+                    initargs=(obs.worker_config(),),
                 )
         finally:
             shm.release_subjects()
-            # Bound per-process memory across repeated large-benchmark runs:
-            # the scalar table and matcher caches regrow cheaply, and the
-            # cut-set memos (the largest per-run allocations) are stripped
-            # from the optimized AIGs pinned by _OPTIMIZED_AIGS -- the AIGs
-            # themselves stay cached, only their cut arrays are released.
-            clear_cut_caches()
+            # The single release point of the batch's memos in the parent:
+            # the cut sets (the largest per-run allocations, with their
+            # function/match/candidate tables) and array views are stripped
+            # from the AIGs pinned by _OPTIMIZED_AIGS -- the AIGs themselves
+            # stay cached for later batches.
             _ACTIVITY_REPORTS.clear()
             for aig in _OPTIMIZED_AIGS.values():
                 aig.__dict__.pop("_cut_sets", None)
@@ -1052,7 +1011,7 @@ class ExperimentEngine:
                 jobs,
                 keys,
                 initializer=_pool_initializer,
-                initargs=(_CACHE_EPOCH, obs.worker_config()),
+                initargs=(obs.worker_config(),),
             )
 
         rows: dict[LogicFamily, tuple[CellCharacterization, ...]] = {}

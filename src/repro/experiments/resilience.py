@@ -177,14 +177,15 @@ def classify_exception(error: BaseException) -> str:
 
 def _abandon(executor: ProcessPoolExecutor) -> None:
     """Tear an executor down without waiting on (possibly stuck) workers."""
+    # shutdown() only delivers sentinels; a worker wedged inside a job (the
+    # timeout case) never reads one.  Reclaim it for real -- the process
+    # table is taken first because shutdown() drops the executor's copy.
+    processes = list((getattr(executor, "_processes", None) or {}).values())
     try:
         executor.shutdown(wait=False, cancel_futures=True)
     except Exception:  # pragma: no cover - shutdown of a broken pool
         pass
-    # shutdown() only delivers sentinels; a worker wedged inside a job (the
-    # timeout case) never reads one.  Reclaim it for real.
-    processes = getattr(executor, "_processes", None) or {}
-    for process in list(processes.values()):
+    for process in processes:
         try:
             process.kill()
         except Exception:  # pragma: no cover - already gone
@@ -313,8 +314,18 @@ def run_resilient(
                 continue
             while ready and len(in_flight) < slots:
                 index = ready.popleft()
+                try:
+                    future = pool.submit(worker, payloads[index])
+                except BrokenExecutor:
+                    # A worker died and its future is not collected yet.
+                    # This job never started, so it keeps its attempt and its
+                    # place; the pool is rebuilt once the in-flight futures
+                    # report the crash, or right away if none are in flight.
+                    ready.appendleft(index)
+                    if not in_flight:
+                        rebuild_pool()
+                    break
                 attempts[index] += 1
-                future = pool.submit(worker, payloads[index])
                 in_flight[future] = index
                 deadlines[future] = (
                     time.monotonic() + policy.timeout if policy.timeout else None

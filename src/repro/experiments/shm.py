@@ -14,14 +14,12 @@ flow and cut enumeration per process.
 Subjects are keyed by the content-addressed structure hash of the optimized
 AIG (:func:`repro.experiments.engine.aig_fingerprint`) plus the enumeration
 parameters, so a handle can never resolve against a stale segment of a
-different structure.  Resolution prefers process-local state: the
-publishing process answers straight from :data:`_LOCAL` (this is the
-pickle-free single-process path and the pool-failure fallback), and a
-worker re-attaches each segment at most once per epoch via
+different structure.  Only a process that lacks the subject resolves a
+handle (the publisher and fork-started workers already hold it in the
+engine's subject memo); it attaches each segment at most once, via
 :data:`_ATTACHED`.  Attached arrays stay zero-copy views of the shared
 segment (marked read-only); the segment itself is kept alive by the
-registry entry and dropped by :func:`drop_attachments` when the worker's
-cache epoch rolls over.
+registry entry, which lives as long as the worker -- one pool, one batch.
 
 The publisher owns the segment lifetime: :func:`release_subjects` unlinks
 every published segment once the batch's pool has drained.  Platforms
@@ -49,7 +47,7 @@ import re
 import time
 import uuid
 from dataclasses import dataclass
-from multiprocessing import resource_tracker, shared_memory
+from multiprocessing import shared_memory
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +56,7 @@ from repro import obs
 from repro.experiments import faults
 from repro.synthesis.aig import Aig, _Node
 from repro.synthesis.aig_array import AigArrays, arrays_from_parts
-from repro.synthesis.cuts import CutSet, _track_cutset_memo
+from repro.synthesis.cuts import CutSet
 from repro.synthesis.matcher import CutFunctionTable, cut_function_table
 
 #: Byte alignment of every array inside a segment (covers all shipped dtypes).
@@ -171,14 +169,14 @@ class SubjectHandle:
     segments: tuple[tuple[str, str, tuple[int, ...], int], ...]
 
 
-# Publisher-side registries: the live SharedMemory objects (so the segments
-# can be unlinked) and the original subjects (so the publishing process
-# resolves its own handles without any copying or attaching).
-_PUBLISHED: dict[str, shared_memory.SharedMemory] = {}
-_LOCAL: dict[str, Aig] = {}
+# Publisher-side registry: the live segment of each published subject (so it
+# can be unlinked) and its handle (so a repeated publish is a lookup).  Lives
+# for one batch: the engine's ``finally`` empties it via release_subjects().
+_PUBLISHED: dict[str, tuple[shared_memory.SharedMemory, SubjectHandle]] = {}
 
-# Worker-side registry: one attachment per subject key, holding the segment
-# open for as long as the rebuilt AIG's views may be alive.
+# Attach-side registry: one attachment per subject key, holding the segment
+# open for as long as the rebuilt AIG's views may be alive.  Lives as long as
+# the attaching worker (one pool, one batch) or until drop_attachments().
 _ATTACHED: dict[str, tuple[shared_memory.SharedMemory, Aig]] = {}
 
 
@@ -244,8 +242,7 @@ def publish_subject(
     global _ATEXIT_REGISTERED
     existing = _PUBLISHED.get(key)
     if existing is not None:
-        _LOCAL.setdefault(key, aig)
-        return _LOCAL_HANDLES[key]
+        return existing[1]
 
     # Build (or reuse) the subject's match index -- the distinct cut
     # functions with their NPN canonicalization columns -- so workers skip
@@ -288,30 +285,13 @@ def publish_subject(
         segment.close()
         segment.unlink()
         raise
-    _PUBLISHED[key] = segment
-    _LOCAL[key] = aig
-    _LOCAL_HANDLES[key] = handle
+    _PUBLISHED[key] = (segment, handle)
     return handle
-
-
-#: Handles of the published subjects (publisher side), for idempotent reuse.
-_LOCAL_HANDLES: dict[str, SubjectHandle] = {}
 
 
 def _attach_views(handle: SubjectHandle) -> tuple[shared_memory.SharedMemory, dict]:
     faults.on_shm_attach(handle.key)  # chaos harness: may raise OSError
     segment = shared_memory.SharedMemory(name=handle.shm_name)
-    # Attaching registers the segment with this process's resource tracker
-    # (CPython <= 3.12), which would unlink it when *this* process exits even
-    # though the publisher owns the lifetime; undo the registration.  Skip
-    # the undo when this process *is* the publisher (the tracker cache is a
-    # set, so the attach registration collapsed into the create one and the
-    # publisher's unlink still needs it).
-    if handle.key not in _PUBLISHED:
-        try:  # pragma: no cover - tracker layout is an implementation detail
-            resource_tracker.unregister(segment._name, "shared_memory")
-        except Exception:
-            pass
     views: dict[str, np.ndarray] = {}
     for field, dtype, shape, offset in handle.segments:
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
@@ -363,14 +343,10 @@ def _rebuild_aig(
 def resolve_subject(handle: SubjectHandle) -> Aig:
     """An ``Aig`` (with array view and cut memos installed) for a handle.
 
-    Resolution order: the publisher's own subject (:data:`_LOCAL`), a
-    previous attachment (:data:`_ATTACHED`), then a fresh shared-memory
-    attach.  Raises ``OSError`` when the segment cannot be opened (callers
-    fall back to recomputing from the job spec).
+    Reuses a previous attachment (:data:`_ATTACHED`), else attaches the
+    shared segment.  Raises ``OSError`` when the segment cannot be opened
+    (callers fall back to recomputing from the job spec).
     """
-    local = _LOCAL.get(handle.key)
-    if local is not None:
-        return local
     attached = _ATTACHED.get(handle.key)
     if attached is not None:
         return attached[1]
@@ -400,7 +376,6 @@ def resolve_subject(handle: SubjectHandle) -> Aig:
             **{field: views[f"fn_{field}"] for field in _FUNCTION_TABLE_FIELDS}
         )
         object.__setattr__(cut_set, "_function_tables", {True: functions})
-        _track_cutset_memo(cut_set)
     structure = (aig.num_nodes, aig.num_pos)
     aig.__dict__["_array_view"] = (structure, arrays)
     aig.__dict__["_cut_sets"] = (
@@ -413,15 +388,13 @@ def resolve_subject(handle: SubjectHandle) -> Aig:
 
 def release_subjects() -> None:
     """Publisher-side cleanup: unlink every published segment."""
-    for segment in _PUBLISHED.values():
+    for segment, _handle in _PUBLISHED.values():
         try:
             segment.close()
             segment.unlink()
         except OSError:  # pragma: no cover - already gone
             pass
     _PUBLISHED.clear()
-    _LOCAL.clear()
-    _LOCAL_HANDLES.clear()
 
 
 #: Segments whose close failed because numpy views were still referenced;
@@ -431,13 +404,15 @@ _ZOMBIES: list[shared_memory.SharedMemory] = []
 
 
 def drop_attachments() -> None:
-    """Worker-side cleanup: close every attached segment.
+    """Attach-side cleanup: close every attached segment.
 
-    Called when the worker's cache epoch rolls over.  The registry's AIG
-    references are dropped *before* closing so the zero-copy views they pin
-    are freed first; a segment whose views are still referenced elsewhere
-    is parked and re-tried on the next call rather than leaked or closed
-    out from under a live array.
+    Pool workers never need it (their attachments end with the process);
+    a process that attaches and lives on -- e.g. a test resolving a handle
+    in the publisher -- calls it when done.  The registry's AIG references
+    are dropped *before* closing so the zero-copy views they pin are freed
+    first; a segment whose views are still referenced elsewhere is parked
+    and re-tried on the next call rather than leaked or closed out from
+    under a live array.
     """
     pending = _ZOMBIES + [segment for segment, _aig in _ATTACHED.values()]
     _ZOMBIES.clear()

@@ -182,6 +182,7 @@ def compose_matches(first: InputMatch, second: InputMatch) -> InputMatch:
 # matrix IDX of shape (n! * 2**n, 2**n) with IDX[p * 2**n + phase, z] =
 # sigma_p(z) ^ phase, so that gathering a function's output column through a
 # row yields the column of the transformed function for that (perm, phase).
+# Process-lifetime, keyed by the finite arity range (num_vars <= 6).
 _CANDIDATE_CACHE: dict[int, tuple[list[tuple[int, ...]], "np.ndarray"]] = {}
 
 
@@ -266,6 +267,7 @@ def _min_variant_batch(
     return best, perm_index, phase
 
 
+# Process-lifetime memo, bounded by lru_cache(maxsize=1 << 16).
 @lru_cache(maxsize=1 << 16)
 def canonicalize_bits(
     bits: int, num_vars: int, include_output_negation: bool = True
@@ -298,21 +300,10 @@ def canonicalize_bits(
 #: Per-``(num_vars, include_output_negation)`` memo of the columnar batch
 #: canonicalizer: raw bits -> ``(canonical, permutation, phase, negated)``
 #: exactly as :func:`canonicalize_bits` returns them.  Kept separate from the
-#: scalar ``lru_cache`` (which cannot be populated externally) but cleared by
-#: the same between-batch sweep (see the matcher's cache sweeper) and bounded
-#: by :data:`_COLUMN_MEMO_LIMIT`.
+#: scalar ``lru_cache`` (which cannot be populated externally).  Lives for the
+#: process; each arity's memo clears itself at :data:`_COLUMN_MEMO_LIMIT`.
 _COLUMN_MEMO: dict[tuple[int, bool], dict[int, tuple[int, tuple[int, ...], int, bool]]] = {}
 _COLUMN_MEMO_LIMIT = 1 << 16
-
-
-def clear_canonicalizer_memo() -> None:
-    """Drop the batch canonicalizer's cross-call memo."""
-    _COLUMN_MEMO.clear()
-
-
-def canonicalizer_memo_size() -> int:
-    """Entries in the batch canonicalizer's memo (diagnostics)."""
-    return sum(len(memo) for memo in _COLUMN_MEMO.values())
 
 
 def canonicalize_bits_batch_columns(

@@ -24,7 +24,8 @@ def _mask(num_vars: int) -> int:
 
 
 # Pre-computed "variable column" patterns var_pattern(i, n): the truth table of
-# the projection function x_i over n variables.  Built lazily and cached.
+# the projection function x_i over n variables.  Built lazily and cached for
+# the process; keys are (index < num_vars) pairs over the table widths in use.
 _VAR_PATTERN_CACHE: dict[tuple[int, int], int] = {}
 
 

@@ -261,8 +261,10 @@ def _open_span(name: str, category: str, attributes: dict) -> SpanRecord:
     return record
 
 
-def _close_span(record: SpanRecord, started: int) -> None:
-    record.duration_us = max(0, (time.perf_counter_ns() - started) // 1000)
+def _close_span(record: SpanRecord, started: int | None) -> None:
+    """Finish ``record``; ``started=None`` closes a point event (zero duration)."""
+    if started is not None:
+        record.duration_us = max(0, (time.perf_counter_ns() - started) // 1000)
     stack = _stack()
     if stack and stack[-1] is record:
         stack.pop()
@@ -349,7 +351,7 @@ def event(name: str, **attributes) -> None:
         stack[-1].events.append((time.time_ns() // 1000, name, attributes))
         return
     record = _open_span(name, "event", dict(attributes))
-    _close_span(record, time.perf_counter_ns())
+    _close_span(record, None)
 
 
 def add_span(

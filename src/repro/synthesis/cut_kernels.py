@@ -57,6 +57,7 @@ for _j in range(6):
 del _j, _block, _chunk, _bits, _start
 
 
+# Process-lifetime memo over the finite positions (< 6).
 @lru_cache(maxsize=None)
 def _spread_steps(position: int) -> tuple[tuple[np.uint64, np.uint64, np.uint64], ...]:
     """Butterfly (shift, mask, inverse-mask) steps spreading ``2**position``-bit

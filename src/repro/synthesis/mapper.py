@@ -70,7 +70,6 @@ from repro.synthesis.cost import (
 from repro.synthesis.cuts import (
     DEFAULT_CUT_LIMIT,
     DEFAULT_MAX_INPUTS,
-    _track_cutset_memo,
     cut_set_for,
 )
 from repro.synthesis.matcher import CellMatch, LibraryMatcher, matcher_for
@@ -451,7 +450,6 @@ def _candidate_table_for(
     if memo is None:
         memo = {}
         object.__setattr__(cut_set, "_match_tables", memo)
-        _track_cutset_memo(cut_set)
     key = ("candidates", id(matcher), prefer)
     entry = memo.get(key)
     if entry is None or entry[0] is not matcher:

@@ -39,8 +39,6 @@ from repro.logic.npn import (
     InputMatch,
     canonicalize_bits,
     canonicalize_bits_batch_columns,
-    canonicalizer_memo_size,
-    clear_canonicalizer_memo,
     compose_matches,
     invert_match,
 )
@@ -49,7 +47,6 @@ from repro.synthesis.cut_kernels import (
     support_positions,
     table_support_batch,
 )
-from repro.synthesis.cuts import _track_cutset_memo, register_cut_cache
 
 
 @dataclass(frozen=True)
@@ -217,7 +214,6 @@ def cut_function_table(
     if memo is None:
         memo = {}
         object.__setattr__(cut_set, "_function_tables", memo)
-        _track_cutset_memo(cut_set)
     cached = memo.get(include_output_negation)
     if cached is not None:
         return cached
@@ -245,6 +241,10 @@ def cut_function_table(
     return table
 
 
+#: Entries :meth:`LibraryMatcher.match` memoizes before starting over.
+_MATCH_MEMO_LIMIT = 1 << 16
+
+
 class LibraryMatcher:
     """NPN-canonical match index for one library.
 
@@ -262,6 +262,7 @@ class LibraryMatcher:
         self.allow_output_negation = allow_output_negation
         self._by_area: dict[tuple[int, int], CellMatch] = {}
         self._by_delay: dict[tuple[int, int], CellMatch] = {}
+        # Lives with the matcher; cleared whenever it reaches _MATCH_MEMO_LIMIT.
         self._match_memo: dict[tuple[int, int, str], CellMatch | None] = {}
         self._build(allow_output_negation)
 
@@ -282,11 +283,6 @@ class LibraryMatcher:
     def __len__(self) -> int:
         """Number of stored index entries (one per matched canonical class)."""
         return len(self._by_area)
-
-    def cache_clear(self) -> None:
-        """Drop the single-function match memo (kept bounded between engine
-        batches through :func:`repro.synthesis.cuts.clear_cut_caches`)."""
-        self._match_memo.clear()
 
     def match(
         self, num_leaves: int, table_bits: int, prefer: str = "delay"
@@ -313,6 +309,8 @@ class LibraryMatcher:
             t_cut = InputMatch(perm, phase, negated)
             composed = compose_matches(entry.match, invert_match(t_cut))
             result = CellMatch(entry.cell, composed)
+        if len(self._match_memo) >= _MATCH_MEMO_LIMIT:
+            self._match_memo.clear()
         self._match_memo[memo_key] = result
         return result
 
@@ -468,7 +466,6 @@ class LibraryMatcher:
         if memo is None:
             memo = {}
             object.__setattr__(cut_set, "_match_tables", memo)
-            _track_cutset_memo(cut_set)
         key = ("match", id(self), prefer)
         cached = memo.get(key)
         if cached is not None:
@@ -547,6 +544,7 @@ def _build_arity_index(
     return index
 
 
+# Process-lifetime, keyed by the finite library registry (name, negation flag).
 _MATCHER_CACHE: dict[tuple[str, bool], LibraryMatcher] = {}
 
 
@@ -564,34 +562,3 @@ def matcher_for(
         cached = LibraryMatcher(library, allow_output_negation=allow_output_negation)
         _MATCHER_CACHE[key] = cached
     return cached
-
-
-class _MatcherMemoSweeper:
-    """Clears the match memos of every cached matcher.
-
-    Matchers live in :data:`_MATCHER_CACHE` for the whole process, so their
-    per-function memos would otherwise grow without bound across repeated
-    large-benchmark runs; registering this sweeper folds them into the
-    engine's between-batch :func:`repro.synthesis.cuts.clear_cut_caches`.
-    """
-
-    def cache_clear(self) -> None:
-        for matcher in _MATCHER_CACHE.values():
-            matcher.cache_clear()
-        clear_canonicalizer_memo()
-
-    def cache_size(self) -> int:
-        """Total memoized matches across the cached matchers (diagnostics)."""
-        return sum(self.cache_sizes().values())
-
-    def cache_sizes(self) -> dict[str, int]:
-        """Per-memo breakdown surfaced by ``cut_cache_sizes`` (diagnostics)."""
-        return {
-            "matcher_match_memo": sum(
-                len(matcher._match_memo) for matcher in _MATCHER_CACHE.values()
-            ),
-            "npn_batch_memo": canonicalizer_memo_size(),
-        }
-
-
-register_cut_cache(_MatcherMemoSweeper())

@@ -34,10 +34,6 @@ therefore replays exact member programs -- the class structure still pays
 for itself through template reuse for canonical members, compression
 statistics, and the template-instantiation API (property-tested for
 functional equivalence in ``tests/synthesis/test_optimize_vectorized.py``).
-
-The library and the ISOP memo register with
-:func:`repro.synthesis.cuts.register_cut_cache` so the experiment engine's
-between-batch cache clearing bounds them like every other cut-pipeline memo.
 """
 
 from __future__ import annotations
@@ -54,7 +50,6 @@ from repro.logic.npn import (
 )
 from repro.synthesis.aig import AigLiteral, CONST0, CONST1
 from repro.synthesis.cut_kernels import VAR_PERIOD_MASKS
-from repro.synthesis.cuts import register_cut_cache
 
 __all__ = [
     "CoverProgram",
@@ -71,6 +66,7 @@ __all__ = [
 ]
 
 
+# Process-lifetime memo over the finite arities (<= 6).
 @lru_cache(maxsize=None)
 def _minterm_masks(num_vars: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """``(full, zero_masks, one_masks)`` for ``num_vars``-input tables.
@@ -107,6 +103,7 @@ def _cube_inside(table: int, num_vars: int, care: int, value: int) -> bool:
     return not (_cube_minterms(num_vars, care, value & care) & ~table)
 
 
+# Process-lifetime memo, bounded by lru_cache(maxsize=1 << 16).
 @lru_cache(maxsize=1 << 16)
 def _isop(table: int, num_vars: int) -> tuple[tuple[int, int], ...]:
     """Irredundant sum of products of a truth table (cube tuple).
@@ -114,9 +111,8 @@ def _isop(table: int, num_vars: int) -> tuple[tuple[int, int], ...]:
     Each cube is a pair ``(care_mask, value_mask)``: variable *i* appears
     positively when bit *i* is set in both masks, negatively when set in
     ``care_mask`` only.  Uses a simple expand-greedy cover; optimality is not
-    required, only irredundancy.  Memoized (and registered with
-    :func:`repro.synthesis.cuts.clear_cut_caches`): the rewrite pass asks for
-    the cover of both polarities of every cut function, and distinct K<=4
+    required, only irredundancy.  Memoized: the rewrite pass asks for the
+    cover of both polarities of every cut function, and distinct K<=4
     functions are few across a whole flow.
     """
     size = 1 << num_vars
@@ -149,8 +145,6 @@ def _isop(table: int, num_vars: int) -> tuple[tuple[int, int], ...]:
             kept.remove(index)
     return tuple(cubes[i] for i in kept)
 
-
-register_cut_cache(_isop)
 
 
 class CoverProgram(NamedTuple):
@@ -229,6 +223,7 @@ def replay_cover(
     return result ^ 1 if negate else result
 
 
+# Process-lifetime memo, bounded by lru_cache(maxsize=1 << 14).
 @lru_cache(maxsize=1 << 14)
 def compile_ops(
     program: CoverProgram,
@@ -242,8 +237,7 @@ def compile_ops(
     scan with no per-cube list churn.  Compiled by running
     :func:`replay_cover` symbolically (operand codes survive ``^ 1``
     unchanged in meaning), so the schedule is the reference gate stream by
-    construction.  Memoized on the (hashable) program and registered with
-    the cut-cache clearer.
+    construction.  Memoized on the (hashable) program.
     """
     ops: list[tuple[int, int]] = []
 
@@ -255,8 +249,6 @@ def compile_ops(
     result = replay_cover(record, leaf_codes, program)
     return tuple(ops), result
 
-
-register_cut_cache(compile_ops)
 
 
 def replay_ops(
@@ -303,8 +295,8 @@ class RewriteLibrary:
     canonical form); ``instantiate`` replays the class template under the
     member's composed transform instead -- functionally equivalent, one
     compile per *class* (see the module docstring for why the pinned pass
-    cannot use it).  Registered with the cut-cache clearer so engine job
-    batches bound its footprint like every other memo.
+    cannot use it).  Lives for the process; its members are bounded by the
+    K=4 function space the rewrite pass draws its cuts from.
     """
 
     __slots__ = ("_programs", "_templates", "_class_of")
@@ -405,7 +397,7 @@ class RewriteLibrary:
         literal = replay_cover(aig.and_gate, remapped, template.program)
         return literal ^ 1 if negated else literal
 
-    # -- statistics / cache protocol -------------------------------------
+    # -- statistics ------------------------------------------------------
 
     @property
     def class_count(self) -> int:
@@ -417,15 +409,7 @@ class RewriteLibrary:
         """Distinct (arity, table) members registered."""
         return len(self._programs)
 
-    def cache_size(self) -> int:
-        return len(self._programs)
 
-    def cache_clear(self) -> None:
-        self._programs.clear()
-        self._templates.clear()
-        self._class_of.clear()
-
-
-#: The process-wide library shared by every rewrite invocation.
+#: The process-wide library shared by every rewrite invocation; its members are
+#: bounded by the K=4 function space of the rewrite pass's cuts.
 REWRITE_LIBRARY = RewriteLibrary()
-register_cut_cache(REWRITE_LIBRARY)

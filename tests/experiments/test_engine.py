@@ -1,6 +1,11 @@
 """Tests for the parallel, cache-aware experiment engine."""
 
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -387,12 +392,12 @@ class TestArtifacts:
 
 
 class TestSharedMemoryTransport:
-    """The shared-memory subject transport and the worker cache-epoch protocol."""
+    """The shared-memory subject transport and the lifetime of batch memos."""
 
     def test_publish_resolve_roundtrip_through_attach_path(self):
-        """A handle resolved in a foreign process (simulated by clearing the
-        local registry) rebuilds a structurally identical subject with the
-        published arrays installed, and maps identically."""
+        """A resolved handle attaches the segment and rebuilds a structurally
+        identical subject with the published arrays installed, which maps
+        identically."""
         import numpy as np
 
         from repro.experiments import shm
@@ -411,8 +416,6 @@ class TestSharedMemoryTransport:
         except OSError:
             pytest.skip("no usable shared memory on this platform")
         try:
-            assert shm.resolve_subject(handle) is aig  # publisher answers locally
-            shm._LOCAL.pop(key)  # simulate a worker: force the attach path
             rebuilt = shm.resolve_subject(handle)
             assert rebuilt is not aig
             assert aig_fingerprint(rebuilt) == aig_fingerprint(aig)
@@ -493,7 +496,6 @@ class TestSharedMemoryTransport:
             fields = {segment[0] for segment in handle.segments}
             assert {"fn_inverse", "fn_canon", "fn_cut_perm"} <= fields
             parent_table = cut_function_table(cut_set, arrays.and_nodes)
-            shm._LOCAL.pop(key)  # simulate a worker: force the attach path
             rebuilt = shm.resolve_subject(handle)
             rebuilt_cuts = cut_set_for(rebuilt)
             installed = rebuilt_cuts.__dict__.get("_function_tables", {})
@@ -527,53 +529,72 @@ class TestSharedMemoryTransport:
             table3_payload(sequential), indent=2, sort_keys=True
         ) == json.dumps(table3_payload(parallel), indent=2, sort_keys=True)
 
-    def test_worker_cache_epoch_keeps_memos_bounded(self):
-        """A long-lived worker must drop its per-process memos when the cache
-        epoch rolls over, instead of accumulating them across job batches."""
+    def test_batch_memos_die_with_the_batch(self, monkeypatch):
+        """After run_map_jobs returns, the batch's cut sets and their function
+        and match tables are garbage and the activity memo is empty; only the
+        optimized subjects stay, for reuse by the next in-process batch."""
+        import gc
+        import weakref
+
         import repro.experiments.engine as engine_module
-        from repro.experiments.engine import (
-            _run_map_job,
-            _worker_cache_footprint,
+        from repro.synthesis.cuts import cut_set_for
+
+        refs = []
+        real_map = engine_module.technology_map
+
+        def spying_map(aig, library, **kwargs):
+            mapped = real_map(aig, library, **kwargs)
+            cut_set = cut_set_for(aig, kwargs["max_inputs"], kwargs["cut_limit"])
+            refs.append(weakref.ref(cut_set))
+            for memo in ("_function_tables", "_match_tables"):
+                for entry in cut_set.__dict__.get(memo, {}).values():
+                    table = entry[1] if isinstance(entry, tuple) else entry
+                    refs.append(weakref.ref(table))
+            return mapped
+
+        monkeypatch.setattr(engine_module, "technology_map", spying_map)
+        engine = ExperimentEngine(jobs=1, use_cache=False)
+        engine.run_map_jobs(_jobs())
+        assert len(refs) > len(_jobs())  # cut sets plus their tables
+        gc.collect()
+        assert [ref for ref in refs if ref() is not None] == []
+        assert engine_module._ACTIVITY_REPORTS == {}
+
+        subject = engine_module._OPTIMIZED_AIGS[("add-16", "resyn2rs")]
+        engine.run_map_jobs(_jobs()[:1])
+        assert engine_module._OPTIMIZED_AIGS[("add-16", "resyn2rs")] is subject
+
+    @pytest.mark.skipif(
+        "forkserver" not in multiprocessing.get_all_start_methods(),
+        reason="no forkserver start method on this platform",
+    )
+    def test_forkserver_attach_leaves_no_tracker_noise(self):
+        """forkserver workers attach the published segments; releasing them
+        must not make the shared resource tracker report a KeyError."""
+        import repro
+
+        script = """
+import functools
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+
+from repro.core.families import LogicFamily
+from repro.experiments import resilience
+from repro.experiments.engine import ExperimentEngine, MapJob
+
+resilience.ProcessPoolExecutor = functools.partial(
+    ProcessPoolExecutor, mp_context=multiprocessing.get_context("forkserver")
+)
+jobs = [MapJob(name, LogicFamily.TG_STATIC) for name in ("add-16", "t481")]
+ExperimentEngine(jobs=2, use_cache=False).run_map_jobs(jobs)
+"""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=300,
         )
-
-        job_a = MapJob("add-16", LogicFamily.TG_STATIC)
-        job_b = MapJob("t481", LogicFamily.TG_STATIC)
-        saved_epoch = engine_module._WORKER_EPOCH
-        try:
-            # Simulate a pool worker initialized for epoch 1.
-            engine_module._reset_worker_state(1)
-            _run_map_job((job_a.spec(), 1, None))
-            _run_map_job((job_b.spec(), 1, None))
-            grown = _worker_cache_footprint()
-            assert grown["optimized_aigs"] == 2
-            assert grown["activity_reports"] == 2
-            assert grown["cut_cache_entries"] > 0
-
-            # Next batch: the epoch stamped on the job moves to 2; the
-            # worker-side memos must reset instead of accumulating.
-            _run_map_job((job_a.spec(), 2, None))
-            bounded = _worker_cache_footprint()
-            assert bounded["optimized_aigs"] == 1
-            assert bounded["activity_reports"] == 1
-            assert bounded["cut_cache_entries"] <= grown["cut_cache_entries"]
-
-            # Same epoch again: warm memos are kept (no churn within a batch).
-            _run_map_job((job_a.spec(), 2, None))
-            assert _worker_cache_footprint()["optimized_aigs"] == 1
-        finally:
-            engine_module._reset_worker_state(0)
-            engine_module._WORKER_EPOCH = saved_epoch
-
-    def test_parent_in_process_jobs_do_not_reset_parent_memos(self):
-        """jobs=1 (and the pool-failure fallback) execute in the parent, where
-        _WORKER_EPOCH is None: the epoch check must never clear parent state."""
-        import repro.experiments.engine as engine_module
-        from repro.experiments.engine import _run_map_job
-
-        assert engine_module._WORKER_EPOCH is None
-        job = MapJob("add-16", LogicFamily.TG_STATIC)
-        _run_map_job((job.spec(), 123456, None))
-        assert ("add-16", "resyn2rs") in engine_module._OPTIMIZED_AIGS
-        # A second job with a different epoch still must not clear anything.
-        _run_map_job((job.spec(), 654321, None))
-        assert ("add-16", "resyn2rs") in engine_module._OPTIMIZED_AIGS
+        assert done.returncode == 0, done.stderr
+        assert "KeyError" not in done.stderr, done.stderr

@@ -11,16 +11,19 @@ the failure classification of every engine-level scenario is written there
 as JSON (the nightly CI lane uploads it as an artifact).
 """
 
+import functools
 import json
 import multiprocessing
+import multiprocessing.forkserver
 import os
-from multiprocessing import resource_tracker, shared_memory
+import threading
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
 
 from repro.core.families import LogicFamily
-from repro.experiments import faults, shm
+from repro.experiments import faults, resilience, shm
 from repro.experiments.engine import (
     ExperimentEngine,
     MapJob,
@@ -96,6 +99,35 @@ def arm(tmp_path, monkeypatch):
 
     _arm.spool = spool
     return _arm
+
+
+@pytest.fixture
+def forkserver_pool(monkeypatch):
+    """Run the engine's pools on forkserver workers (skip where unavailable).
+
+    The fork server is restarted around the test so its workers see the
+    environment armed by the test (the fault plan) and no later test
+    inherits it.  The pools' manager threads are joined before the next
+    test runs: they release forkserver semaphores through the resource
+    tracker, and a later test that forks while one holds the tracker's lock
+    hands its child a lock nobody will release.
+    """
+    if "forkserver" not in multiprocessing.get_all_start_methods():
+        pytest.skip("no forkserver start method on this platform")
+    server = multiprocessing.forkserver._forkserver
+    server._stop()
+    before = set(threading.enumerate())
+    monkeypatch.setattr(
+        resilience,
+        "ProcessPoolExecutor",
+        functools.partial(
+            ProcessPoolExecutor, mp_context=multiprocessing.get_context("forkserver")
+        ),
+    )
+    yield
+    for thread in set(threading.enumerate()) - before:
+        thread.join(timeout=30)
+    server._stop()
 
 
 class TestFaultPlanUnit:
@@ -263,7 +295,6 @@ class TestSharedMemoryFaults:
             pytest.skip("no usable shared memory on this platform")
         faults.install(FaultPlan(fail_shm_attach=True, once_dir=str(tmp_path)))
         try:
-            shm._LOCAL.pop(key)  # force the attach path, as in a worker
             with pytest.raises(OSError, match="injected"):
                 shm.resolve_subject(handle)
             # The latch admits one failure per subject; the retry attaches.
@@ -274,16 +305,24 @@ class TestSharedMemoryFaults:
             shm.drop_attachments()
             shm.release_subjects()
 
-    def test_engine_survives_attach_failures_bit_identically(self, arm):
+    def test_engine_survives_attach_failures_bit_identically(
+        self, arm, forkserver_pool
+    ):
+        """forkserver workers do not inherit the subjects, so they attach the
+        published segments; the armed attach fault must fire there, be
+        counted by the parent, and leave the results bit-identical."""
         jobs = _jobs4()
         baseline = ExperimentEngine(jobs=1, use_cache=False).run_map_jobs(jobs)
         arm(fail_shm_attach=True)
+        degraded_before = shm.degraded_count()
         engine = ExperimentEngine(jobs=2, use_cache=False, retry_policy=FAST_POLICY)
         chaotic = engine.run_map_jobs(jobs)
         assert _result_view(chaotic) == _result_view(baseline)
+        assert list(arm.spool.glob("shm:*.fired"))  # the fault really fired
         # Attach failures degrade to recompute-from-spec, never to retries.
         assert [f for f in engine.failures if f.kind == CRASH] == []
-        _classify("shm_attach_failure_jobs2", engine)
+        record = _classify("shm_attach_failure_jobs2", engine)
+        assert record["shm_degraded"] >= degraded_before + 1
 
 
 class TestSegmentLifecycle:
@@ -370,15 +409,15 @@ class TestConcurrentRunners:
 
 
 def _publish_and_crash(name: str) -> None:
-    """Child-process body: leak a foreign-nonce segment like a crashed run."""
-    try:
-        segment = shared_memory.SharedMemory(create=True, name=name, size=64)
-    except FileExistsError:
-        segment = shared_memory.SharedMemory(name=name)
-    try:  # the parent's reaper owns the cleanup; silence this process's tracker
-        resource_tracker.unregister(segment._name, "shared_memory")
-    except Exception:
-        pass
+    """Child-process body: leak a foreign-nonce segment like a crashed run.
+
+    The segment is created as its ``/dev/shm`` file rather than through
+    ``SharedMemory``, which would register it with the resource tracker:
+    the tracker's lock is inherited across ``fork`` and may be held by a
+    parent thread, and the parent's reaper owns the cleanup anyway.
+    """
+    fd = os.open(shm._SHM_DIR / name, os.O_CREAT | os.O_RDWR, 0o600)
+    os.ftruncate(fd, 64)
     os._exit(1)  # skips atexit: exactly how a crashed publisher leaks
 
 

@@ -8,7 +8,8 @@ in-process degrade path stays safe to run in the test process.
 
 import os
 import time
-from concurrent.futures import BrokenExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolExecutor
+from multiprocessing.connection import wait as wait_for_exit
 
 import pytest
 
@@ -189,6 +190,41 @@ class TestRunResilient:
         assert outcome.results == [4, 9]
         assert not outcome.pool_used
         assert seen == [(0, 4), (1, 9)]
+
+    def test_submit_to_a_broken_pool_keeps_the_attempt_and_rebuilds(
+        self, monkeypatch
+    ):
+        pools = []
+
+        class BrokenFirstPool(ThreadPoolExecutor):
+            def __init__(self, max_workers, initializer=None, initargs=()):
+                super().__init__(max_workers, initializer=initializer,
+                                 initargs=initargs)
+                pools.append(self)
+
+            def submit(self, *args, **kwargs):
+                if self is pools[0]:
+                    raise BrokenExecutor("a worker died while idle")
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(resilience, "ProcessPoolExecutor", BrokenFirstPool)
+        outcome = run_resilient(_square, [2, 3], jobs=2, policy=FAST)
+        assert outcome.results == [4, 9]
+        assert outcome.rebuilds == 1
+        assert outcome.failures == []  # no job ran, so none was charged
+
+    def test_abandon_kills_a_wedged_worker(self, tmp_path):
+        pool = ProcessPoolExecutor(max_workers=1)
+        pool.submit(_sleep_first_job_once, (0, str(tmp_path), 30.0))
+        deadline = time.monotonic() + 10.0
+        while not (tmp_path / "sleep-0.fired").exists():
+            assert time.monotonic() < deadline, "the job never started"
+            time.sleep(0.01)
+        # Watch the exit sentinels rather than join(): the pool's manager
+        # thread may reap the killed worker first.
+        sentinels = [process.sentinel for process in pool._processes.values()]
+        resilience._abandon(pool)
+        assert sorted(wait_for_exit(sentinels, timeout=10.0)) == sorted(sentinels)
 
     def test_single_job_batches_still_work(self):
         outcome = run_resilient(_square, [6], jobs=4, policy=FAST)

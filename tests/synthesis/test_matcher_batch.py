@@ -23,7 +23,6 @@ from repro.logic.npn import canonicalize_bits, canonicalize_bits_batch_columns
 from repro.synthesis.aig_array import aig_arrays
 from repro.synthesis.cut_kernels import project_table_batch, table_support_batch
 from repro.synthesis.cuts import (
-    cut_cache_sizes,
     cut_set_for,
     project_table,
     table_support,
@@ -175,14 +174,22 @@ class TestCutFunctionTable:
             table.tables[table.inverse], cut_set.table[nodes_rep, slots]
         )
 
-    def test_function_table_is_memoized_and_swept(self, subject):
+    def test_function_table_is_memoized(self, subject):
         aig, arrays, cut_set = subject
         first = cut_function_table(cut_set, arrays.and_nodes)
         assert cut_function_table(cut_set, arrays.and_nodes) is first
-        sizes = cut_cache_sizes()
-        assert sizes.get("cutset_memos", 0) > 0
-        assert "matcher_match_memo" in sizes
-        assert "npn_batch_memo" in sizes
+
+    def test_match_memo_stays_within_its_limit(self, tg_library, monkeypatch):
+        import repro.synthesis.matcher as matcher_module
+
+        monkeypatch.setattr(matcher_module, "_MATCH_MEMO_LIMIT", 8)
+        matcher = LibraryMatcher(tg_library)
+        expected = {}
+        for table in range(40):
+            expected[table] = matcher.match(3, table)
+            assert len(matcher._match_memo) <= 8
+        # Answers after a clear are the same as before it.
+        assert all(matcher.match(3, table) == hit for table, hit in expected.items())
 
     def test_match_table_counters_and_span(self, subject, tg_library):
         from repro import obs

@@ -38,6 +38,7 @@ from repro.synthesis.cuts import enumerate_cuts_scalar, enumerate_cuts_vectorize
 from repro.synthesis.optimize import balance, rewrite
 from repro.synthesis.rewrite_lib import (
     REWRITE_LIBRARY,
+    RewriteLibrary,
     _cube_minterms,
     compile_cover,
     compile_ops,
@@ -336,13 +337,13 @@ class TestRewriteLibrary:
     def test_class_compression(self):
         """Members share class templates: classes <= members, and a member
         equal to its canonical form reuses the template program object."""
-        REWRITE_LIBRARY.cache_clear()
+        library = RewriteLibrary()
         for table in range(1 << (1 << 2)):
-            REWRITE_LIBRARY.program(table, 2)
-        assert REWRITE_LIBRARY.member_count == 16
-        assert REWRITE_LIBRARY.class_count < REWRITE_LIBRARY.member_count
-        template, _match = REWRITE_LIBRARY.template_for(0b1000, 2)
-        canonical_program = REWRITE_LIBRARY.program(template.table, 2)
+            library.program(table, 2)
+        assert library.member_count == 16
+        assert library.class_count < library.member_count
+        template, _match = library.template_for(0b1000, 2)
+        canonical_program = library.program(template.table, 2)
         assert canonical_program is template.program
 
 
