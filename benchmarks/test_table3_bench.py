@@ -10,7 +10,7 @@ import pytest
 
 from repro.bench.registry import BENCHMARKS, benchmark_by_name
 from repro.core.families import LogicFamily
-from repro.experiments.table3 import map_benchmark, run_table3
+from repro.experiments.table3 import run_table3
 
 pytestmark = pytest.mark.slow
 
@@ -23,7 +23,10 @@ PER_CIRCUIT = [case.name for case in BENCHMARKS]
 def test_table3_benchmark_row(benchmark, name, libraries, matchers):
     """Table 3, one row: full synthesis and mapping flow for one benchmark."""
     case = benchmark_by_name(name)
-    row = benchmark.pedantic(map_benchmark, args=(case,), iterations=1, rounds=1)
+    result = benchmark.pedantic(
+        run_table3, kwargs={"benchmark_names": (name,)}, iterations=1, rounds=1
+    )
+    row = result.rows[0]
     static = row.results[LogicFamily.TG_STATIC]
     pseudo = row.results[LogicFamily.TG_PSEUDO]
     cmos = row.results[LogicFamily.CMOS]

@@ -49,6 +49,7 @@ import tempfile
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import lru_cache
+from multiprocessing import util as mp_util
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -80,7 +81,7 @@ from repro.experiments.table3 import (
 )
 from repro import obs
 from repro.experiments import faults, resilience, shm
-from repro.flow import DEFAULT_FLOW, get_flow, resolve_flow, run_flow
+from repro.flow import DEFAULT_FLOW, get_flow, run_flow
 from repro.synthesis.aig import Aig
 from repro.synthesis.aig_array import aig_arrays
 from repro.synthesis.cuts import (
@@ -88,12 +89,12 @@ from repro.synthesis.cuts import (
     DEFAULT_MAX_INPUTS,
     cut_set_for,
 )
-from repro.synthesis.mapper import technology_map, verify_mapping
+from repro.synthesis.mapper import technology_map
 from repro.synthesis.matcher import matcher_for
 
 #: Bump when the meaning of cached payloads changes; old entries are then
 #: treated as misses and recomputed.  Schema 2: mapping jobs are keyed by
-#: synthesis-flow name + flow fingerprint instead of the optimize_first flag.
+#: synthesis-flow name + flow fingerprint.
 #: Schema 3: mapping payloads grow the power axis (dynamic + static power of
 #: the mapped netlist), keyed additionally by the Monte-Carlo activity
 #: parameters (``power_vectors``/``power_seed``) and by the cells' power
@@ -277,8 +278,8 @@ class ResultCache:
     not corrupt, and are overwritten in place by the next put.  With a
     size budget (``max_bytes`` or ``REPRO_CACHE_MAX_BYTES``) puts evict
     least-recently-used entries (hits refresh mtime) back under budget.
-    All traffic is tallied in :attr:`stats` and mirrored to the profiler's
-    event counters.
+    All traffic is tallied in :attr:`stats` and mirrored to the tracer's
+    counters.
     """
 
     def __init__(self, directory: Path, max_bytes: int | None = None) -> None:
@@ -468,13 +469,30 @@ def _pool_initializer(obs_config: dict | None = None) -> None:
     Installs any fault plan carried by the environment -- only here, so
     chaos faults fire exclusively in pool workers and the parent's
     deterministic in-process path stays fault-free by construction -- and
-    adopts the parent's observability switches (``obs_config``, see
+    adopts the parent's tracing switch (``obs_config``, see
     :func:`repro.obs.worker_config`): the worker clears any span buffer it
     inherited through ``fork`` and starts buffering telemetry per job for
-    shipment back inside the payloads.
+    shipment back inside the payloads.  At exit the worker closes its
+    shared-memory attachments (:func:`_release_attached_subjects`).
     """
     obs.activate_worker(obs_config)
     faults.install_from_env()
+    mp_util.Finalize(None, _release_attached_subjects, exitpriority=0)
+
+
+def _release_attached_subjects() -> None:
+    """Close this worker's shared-memory attachments before it exits.
+
+    Left to interpreter teardown, ``SharedMemory.__del__`` runs while the
+    memoized AIGs still pin zero-copy views of the segment and prints a
+    ``BufferError``.  Dropping the memos first releases the views.  Fork
+    workers inherit their subjects, attach nothing and skip all of it.
+    """
+    if not shm.attachment_count():
+        return
+    _OPTIMIZED_AIGS.clear()
+    _ACTIVITY_REPORTS.clear()
+    shm.drop_attachments()
 
 
 def _subject_aig(benchmark: str, flow: str) -> Aig:
@@ -587,22 +605,6 @@ def _run_map_job(transport: tuple) -> dict:
         )
         with obs.stage("power"):
             power = analyze_power(mapped, aig, library, activities)
-        if obs.profile_active():
-            # Attribution-only stage: check the mapped netlist against the
-            # subject AIG on a deterministic packed pattern set so
-            # ``--profile`` reports where verification time would go.
-            import random
-
-            seed = random.Random(f"profile:{aig.name}")
-            patterns = {
-                name: [seed.getrandbits(64) for _ in range(2)]
-                for name in aig.pi_names
-            }
-            with obs.stage("verify"):
-                if not verify_mapping(mapped, aig, patterns):  # pragma: no cover
-                    raise RuntimeError(
-                        f"mapped netlist of {aig.name!r} failed verification"
-                    )
         payload = {
             "stats": asdict(MappingStats.from_mapped(mapped)),
             "power": asdict(PowerStats.from_analysis(power)),
@@ -927,7 +929,6 @@ class ExperimentEngine:
         families: tuple[LogicFamily, ...] = TABLE3_FAMILIES,
         objective: str = "delay",
         flow: str = DEFAULT_FLOW,
-        optimize_first: bool = True,
         power_vectors: int = DEFAULT_VECTORS,
         power_seed: int = DEFAULT_SEED,
         rounds: int = 0,
@@ -936,13 +937,11 @@ class ExperimentEngine:
         """Regenerate Table 3 through the job engine.
 
         ``flow`` names the registered technology-independent flow run before
-        mapping; ``optimize_first=False`` is shorthand for the ``none`` flow
-        (kept for backward compatibility) and is rejected when combined with
-        an explicitly selected flow.  ``rounds``/``recovery`` select the
-        mapper's required-time recovery configuration (``--map-rounds`` /
-        ``--map-recovery`` on the runner).
+        mapping.  ``rounds``/``recovery`` select the mapper's required-time
+        recovery configuration (``--map-rounds`` / ``--map-recovery`` on the
+        runner).
         """
-        flow_name = resolve_flow(flow, optimize_first)
+        get_flow(flow)  # reject unknown flows before doing any work
         cases = _resolve_cases(benchmark_names)
 
         def job_for(case_name: str, family: LogicFamily) -> MapJob:
@@ -950,7 +949,7 @@ class ExperimentEngine:
                 case_name,
                 family,
                 objective=objective,
-                flow=flow_name,
+                flow=flow,
                 power_vectors=power_vectors,
                 power_seed=power_seed,
                 rounds=rounds,
@@ -961,7 +960,7 @@ class ExperimentEngine:
         by_job = self.run_map_jobs(jobs)
 
         result = Table3Result(
-            flow=flow_name, objective=objective, rounds=rounds, recovery=recovery
+            flow=flow, objective=objective, rounds=rounds, recovery=recovery
         )
         for case in cases:
             stats: dict[LogicFamily, MappingStats] = {}

@@ -212,10 +212,10 @@ def run_resilient(
     recorded (live progress reporting).  Exceptions raised *by* a job
     propagate unchanged after the pool is shut down; crashes and timeouts
     are retried per ``policy`` and degrade to the in-process path once
-    exhausted.  Every failure is mirrored to the profiler/tracer event
-    counters (``jobs.crash`` / ``jobs.timeout`` / ``jobs.retry`` /
+    exhausted.  Every failure is mirrored to the tracer's counters
+    (``jobs.crash`` / ``jobs.timeout`` / ``jobs.retry`` /
     ``jobs.degraded_inprocess`` and the ``jobs.backoff_seconds`` total) and
-    recorded as a tracer event, so ``--profile`` and ``--trace`` both see
+    recorded as a tracer event, so ``--trace`` and ``--metrics-out`` see
     the failure-path traffic.
     """
     policy = policy or RetryPolicy()

@@ -85,33 +85,24 @@ Scheduling goes through the parallel experiment engine
     degradations, pool rebuilds, in-process degradations and the
     crash/timeout failure classification.
 
-``--profile`` / ``--profile-out PATH``
-    Emit per-stage wall-clock timing (``optimize`` / ``activity`` /
-    ``cuts`` / ``match`` / ``cover`` / ``recover`` / ``power`` /
-    ``verify``) as JSON -- to
-    stdout with ``--profile``, to PATH with ``--profile-out`` (which implies
-    ``--profile``) -- so performance work can attribute wins per pipeline
-    stage.  Profiling disables the result cache (cached jobs skip every
-    stage, so a warm run would produce no attributable numbers) but works
-    at any ``--jobs`` count: workers ship their per-stage snapshots back
-    inside the job payloads and the parent merges them, so a ``--jobs 4``
-    profile reports the same stage entries as a sequential one.
-
 ``--trace PATH``
     Record the run through the hierarchical span tracer
     (:mod:`repro.obs`) and export it as a Chrome trace-event JSON file --
     load PATH in Perfetto or ``about:tracing`` to see the run laid out as
     one track per process: the parent's scheduling/cache spans plus every
-    worker's job -> pass -> round -> stage hierarchy.  Unlike
-    ``--profile``, tracing composes with the cache (hits appear as
-    synthesized ``cache-hit`` spans) and with ``--jobs N``, and never
-    changes the computed artifacts.
+    worker's job -> pass -> round -> stage hierarchy.  Tracing composes
+    with the cache (hits appear as synthesized ``cache-hit`` spans) and
+    with ``--jobs N``, and never changes the computed artifacts.
 
 ``--metrics-out PATH``
     Write the run metrics report (implies tracing): log-bucketed latency
     histograms with p50/p90/p99 for jobs and flow passes, per-stage time
-    totals, cache hit rate, retry/crash/timeout counts and the top spans
-    by self time, plus the full robustness counters.
+    totals and entry counts (``optimize`` / ``activity`` / ``cuts`` /
+    ``match`` / ``cover`` / ``recover`` / ``power``), cache hit rate,
+    retry/crash/timeout counts and the top spans by self time, plus the
+    full robustness counters.  Cached jobs skip every stage, so per-stage
+    attribution of the whole pipeline is ``--no-cache --metrics-out PATH``;
+    worker spans merge into the parent at any ``--jobs`` count.
 
 ``--events-out PATH``
     Write the structured JSONL event log (implies tracing): one JSON
@@ -274,18 +265,6 @@ def main(argv: list[str] | None = None) -> int:
         "evictions, retries, pool rebuilds) as JSON after the run",
     )
     parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="emit per-stage timing JSON (optimize/cuts/match/cover/verify) "
-        "to stdout; implies --no-cache, works at any --jobs count",
-    )
-    parser.add_argument(
-        "--profile-out",
-        metavar="PATH",
-        default=None,
-        help="write the per-stage timing JSON to PATH (implies --profile)",
-    )
-    parser.add_argument(
         "--trace",
         metavar="PATH",
         default=None,
@@ -307,8 +286,6 @@ def main(argv: list[str] | None = None) -> int:
         "tracing",
     )
     args = parser.parse_args(argv)
-    if args.profile_out is not None:
-        args.profile = True
 
     if args.list_flows:
         for name in available_flows():
@@ -334,13 +311,9 @@ def main(argv: list[str] | None = None) -> int:
     if extra_names:
         print(f"[extra benchmarks: {', '.join(extra_names)}]")
 
-    # Tracing first: enable_profile() preserves a live trace buffer, so the
-    # order makes --profile --trace share one coherent recording.
     trace_run_id = None
     if args.trace or args.metrics_out or args.events_out:
         trace_run_id = obs.enable_tracing()
-    if args.profile:
-        obs.enable_profile()
 
     retry_policy = RetryPolicy.from_env()
     if args.job_timeout is not None:
@@ -358,7 +331,7 @@ def main(argv: list[str] | None = None) -> int:
     engine = ExperimentEngine(
         jobs=args.jobs,
         cache_dir=args.cache_dir,
-        use_cache=False if args.profile else not args.no_cache,
+        use_cache=not args.no_cache,
         retry_policy=retry_policy,
         progress=progress,
     )
@@ -437,18 +410,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.cache_stats:
         print("\nrobustness counters:")
         print(json.dumps(engine.robustness_stats(), indent=2, sort_keys=True))
-
-    if args.profile:
-        report = obs.profile_snapshot()
-        obs.disable_profile()
-        rendered = json.dumps(report, indent=2, sort_keys=True)
-        if args.profile_out is None:
-            print("\nper-stage profile:")
-            print(rendered)
-        else:
-            with open(args.profile_out, "w", encoding="utf-8") as handle:
-                handle.write(rendered + "\n")
-            print(f"\nwrote per-stage profile to {args.profile_out}")
 
     if trace_run_id is not None:
         recorded = obs.spans()

@@ -19,7 +19,8 @@ handle (the publisher and fork-started workers already hold it in the
 engine's subject memo); it attaches each segment at most once, via
 :data:`_ATTACHED`.  Attached arrays stay zero-copy views of the shared
 segment (marked read-only); the segment itself is kept alive by the
-registry entry, which lives as long as the worker -- one pool, one batch.
+registry entry, which lives as long as the worker -- one pool, one batch --
+and is closed by :func:`drop_attachments` when the worker exits.
 
 The publisher owns the segment lifetime: :func:`release_subjects` unlinks
 every published segment once the batch's pool has drained.  Platforms
@@ -406,13 +407,13 @@ _ZOMBIES: list[shared_memory.SharedMemory] = []
 def drop_attachments() -> None:
     """Attach-side cleanup: close every attached segment.
 
-    Pool workers never need it (their attachments end with the process);
-    a process that attaches and lives on -- e.g. a test resolving a handle
-    in the publisher -- calls it when done.  The registry's AIG references
-    are dropped *before* closing so the zero-copy views they pin are freed
-    first; a segment whose views are still referenced elsewhere is parked
-    and re-tried on the next call rather than leaked or closed out from
-    under a live array.
+    Pool workers call it at exit (the engine's pool initializer registers
+    the finalizer); a process that attaches and lives on -- e.g. a test
+    resolving a handle in the publisher -- calls it when done.  The
+    registry's AIG references are dropped *before* closing so the
+    zero-copy views they pin are freed first; a segment whose views are
+    still referenced elsewhere is parked and re-tried on the next call
+    rather than leaked or closed out from under a live array.
     """
     pending = _ZOMBIES + [segment for segment, _aig in _ATTACHED.values()]
     _ZOMBIES.clear()

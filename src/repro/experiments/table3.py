@@ -12,14 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.bench.registry import BENCHMARKS, BenchmarkCase
 from repro.core.families import LogicFamily
-from repro.core.library import build_library
-from repro.core.paper_data import PAPER_TABLE3, PaperBenchmark, PaperBenchmarkRow
-from repro.flow import DEFAULT_FLOW, resolve_flow, run_flow
-from repro.synthesis.aig import Aig
-from repro.synthesis.mapper import MappedCircuit, technology_map
-from repro.synthesis.matcher import matcher_for
+from repro.core.paper_data import PAPER_TABLE3, PaperBenchmark
+from repro.flow import DEFAULT_FLOW
+from repro.synthesis.mapper import MappedCircuit
 
 #: The three libraries compared in Table 3.
 TABLE3_FAMILIES = (
@@ -165,55 +161,10 @@ def _paper_row(name: str) -> PaperBenchmark | None:
     return None
 
 
-def map_benchmark(
-    case: BenchmarkCase,
-    families: tuple[LogicFamily, ...] = TABLE3_FAMILIES,
-    objective: str = "delay",
-    optimize_first: bool = True,
-    flow: str = DEFAULT_FLOW,
-) -> Table3Row:
-    """Run the full flow (generate, optimize, map onto each family) for one benchmark.
-
-    ``flow`` names the registered synthesis flow (see :mod:`repro.flow`);
-    ``optimize_first=False`` is shorthand for the ``none`` flow and is
-    rejected when combined with an explicitly selected flow.
-    """
-    from repro.analysis.activity import compute_activities
-    from repro.analysis.power import analyze_power
-
-    aig: Aig = run_flow(resolve_flow(flow, optimize_first), case.build()).aig
-    activities = compute_activities(aig)
-    results: dict[LogicFamily, MappingStats] = {}
-    power: dict[LogicFamily, PowerStats] = {}
-    for family in families:
-        library = build_library(family)
-        mapped = technology_map(
-            aig,
-            library,
-            matcher=matcher_for(library),
-            objective=objective,
-            activities=activities,
-        )
-        results[family] = MappingStats.from_mapped(mapped)
-        power[family] = PowerStats.from_analysis(
-            analyze_power(mapped, aig, library, activities)
-        )
-    return Table3Row(
-        name=case.name,
-        function=case.function,
-        aig_nodes=aig.num_ands,
-        aig_depth=aig.depth(),
-        results=results,
-        paper=_paper_row(case.name),
-        power=power,
-    )
-
-
 def run_table3(
     benchmark_names: tuple[str, ...] | None = None,
     families: tuple[LogicFamily, ...] = TABLE3_FAMILIES,
     objective: str = "delay",
-    optimize_first: bool = True,
     flow: str = DEFAULT_FLOW,
     engine=None,
 ) -> Table3Result:
@@ -235,5 +186,4 @@ def run_table3(
         families=families,
         objective=objective,
         flow=flow,
-        optimize_first=optimize_first,
     )

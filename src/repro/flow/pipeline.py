@@ -227,25 +227,6 @@ def run_flow(flow: str | FlowSpec, aig: Aig) -> FlowResult:
     return spec.run(aig)
 
 
-def resolve_flow(flow: str, optimize_first: bool) -> str:
-    """Reconcile a flow name with the legacy ``optimize_first`` flag.
-
-    ``optimize_first=False`` is shorthand for the ``none`` flow and is only
-    meaningful with the default flow; combining it with an explicitly
-    selected flow would silently discard the caller's choice, so that
-    conflict is rejected.  The returned name is always a registered flow.
-    """
-    get_flow(flow)  # fail fast on unknown flows, whatever the flag says
-    if optimize_first:
-        return flow
-    if flow != DEFAULT_FLOW:
-        raise ValueError(
-            f"optimize_first=False conflicts with the explicit flow {flow!r}; "
-            "pass flow='none' instead"
-        )
-    return "none"
-
-
 # -- built-in flows ----------------------------------------------------------
 
 register_flow(

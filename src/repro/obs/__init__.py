@@ -4,10 +4,8 @@
 surface of the engine:
 
 * :mod:`repro.obs.tracer` -- the hierarchical span tracer (run -> job ->
-  pass -> round -> stage), named counters and the per-stage accumulators
-  ``--profile`` reports (:func:`enable_profile`, :func:`profile_snapshot`);
-  includes the cross-process blob protocol that ships worker-side telemetry
-  back inside job payloads.
+  pass -> round -> stage) and named counters; includes the cross-process
+  blob protocol that ships worker-side telemetry back inside job payloads.
 * :mod:`repro.obs.chrome` -- Chrome trace-event JSON export (Perfetto /
   ``about:tracing``), one track per process.
 * :mod:`repro.obs.metrics` -- log-bucketed latency histograms
@@ -18,7 +16,7 @@ surface of the engine:
 
 The public surface is re-exported here; hot call sites (``span``,
 ``stage``, ``count``, ``annotate``, ``event``) cost one attribute read when
-both trace and profile modes are off.
+tracing is off.
 """
 
 from repro.obs.chrome import chrome_payload, trace_events, write_chrome_trace
@@ -32,15 +30,11 @@ from repro.obs.tracer import (
     count,
     counters,
     add_span,
-    disable_profile,
     disable_tracing,
     drain_worker_blob,
-    enable_profile,
     enable_tracing,
     event,
     merge_blob,
-    profile_active,
-    profile_snapshot,
     remote_active,
     reset,
     run_id,
@@ -62,17 +56,13 @@ __all__ = [
     "chrome_payload",
     "count",
     "counters",
-    "disable_profile",
     "disable_tracing",
     "drain_worker_blob",
-    "enable_profile",
     "enable_tracing",
     "event",
     "event_lines",
     "live_progress_enabled",
     "merge_blob",
-    "profile_active",
-    "profile_snapshot",
     "remote_active",
     "reset",
     "run_id",

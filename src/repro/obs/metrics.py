@@ -10,9 +10,9 @@ a compact ``{bucket_floor: count}`` map whatever the value range.
 
 :func:`build_metrics` folds the merged trace (spans + counters) and the
 engine's robustness stats into the JSON report behind the runner's
-``--metrics-out``: per-job latency percentiles (p50/p90/p99), per-stage and
-per-pass time totals, cache hit rate, retry/crash/timeout counts and the
-top spans by self time.
+``--metrics-out``: per-job latency percentiles (p50/p90/p99), per-stage
+time totals and entry counts, per-pass time totals, cache hit rate,
+retry/crash/timeout counts and the top spans by self time.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from repro.obs.tracer import SpanRecord
 _BUCKETS_PER_OCTAVE = 4
 
 #: Report schema version (bump when the JSON shape changes).
-METRICS_SCHEMA = 1
+METRICS_SCHEMA = 2
 
 
 class Histogram:
@@ -168,6 +168,7 @@ def build_metrics(
     job_latency = Histogram()
     pass_latency = Histogram()
     stage_totals_ms: dict[str, float] = {}
+    stage_entries: dict[str, int] = {}
     category_counts: dict[str, int] = {}
     jobs_cached = 0
     candidate_rows = 0
@@ -187,6 +188,7 @@ def build_metrics(
             stage_totals_ms[record.name] = (
                 stage_totals_ms.get(record.name, 0.0) + record.duration_us / 1000.0
             )
+            stage_entries[record.name] = stage_entries.get(record.name, 0) + 1
         candidate_rows += int(record.attributes.get("candidate_rows", 0))
     cache = (robustness or {}).get("cache") or {}
     hits = int(cache.get("hits", counters.get("cache.hit", 0)))
@@ -219,6 +221,7 @@ def build_metrics(
             "pass_latency_ms": pass_latency.as_dict(),
         },
         "stage_totals_ms": dict(sorted(stage_totals_ms.items())),
+        "stage_entries": dict(sorted(stage_entries.items())),
         "mapper": {"candidate_rows": candidate_rows},
         "counters": {
             name: int(value) if float(value).is_integer() else value

@@ -269,14 +269,14 @@ class TestCacheHardening:
         from repro import obs
 
         cache = ResultCache(tmp_path)
-        obs.enable_profile()
+        obs.enable_tracing()
         try:
             cache.put("aa" * 32, {"value": 1})
             cache.get("aa" * 32)
             cache.get("bb" * 32)
-            counters = obs.profile_snapshot()["counters"]
+            counters = obs.counters()
         finally:
-            obs.disable_profile()
+            obs.reset()
         assert counters["cache.put"] == 1
         assert counters["cache.hit"] == 1
         assert counters["cache.miss"] == 1
@@ -315,20 +315,13 @@ class TestParallelExecution:
                 benchmark_names=SUBSET, flow="no-such-flow"
             )
 
-    def test_explicit_flow_conflicts_with_optimize_first_false(self):
-        # optimize_first=False must not silently discard an explicit flow.
-        with pytest.raises(ValueError, match="conflicts"):
-            ExperimentEngine(use_cache=False).run_table3(
-                benchmark_names=SUBSET, flow="deep", optimize_first=False
-            )
-
     def test_flows_run_end_to_end_with_distinct_results_or_stats(self):
         # Both named flows run through the engine; `none` must reflect the
         # unoptimized subject graph while resyn2rs shrinks or preserves it.
         engine = ExperimentEngine(use_cache=False)
         via_resyn = engine.run_table3(benchmark_names=SUBSET)
         via_quick = engine.run_table3(benchmark_names=SUBSET, flow="quick")
-        via_none = engine.run_table3(benchmark_names=SUBSET, optimize_first=False)
+        via_none = engine.run_table3(benchmark_names=SUBSET, flow="none")
         assert via_none.rows[0].aig_nodes >= via_resyn.rows[0].aig_nodes
         for result in (via_resyn, via_quick, via_none):
             for row in result.rows:
@@ -377,7 +370,7 @@ class TestArtifacts:
         table3 = engine.run_table3(benchmark_names=SUBSET, flow="quick")
         assert table3.flow == "quick"
         assert table3_payload(table3)["flow"] == "quick"
-        none_result = engine.run_table3(benchmark_names=SUBSET, optimize_first=False)
+        none_result = engine.run_table3(benchmark_names=SUBSET, flow="none")
         assert none_result.flow == "none"
 
     def test_payload_helpers_are_json_serializable(self, tmp_path):
@@ -443,6 +436,38 @@ class TestSharedMemoryTransport:
             shm.release_subjects()
         assert shm.attachment_count() == 0
         assert shm.published_count() == 0
+
+    def test_release_attached_subjects_closes_every_attachment(self, monkeypatch):
+        """The pool workers' exit finalizer drops the subject memos that pin
+        the segment views, then closes every attachment: none is left for
+        ``SharedMemory.__del__`` or parked as still exported."""
+        from repro.experiments import engine as engine_module
+        from repro.experiments import shm
+        from repro.flow import run_flow
+        from repro.synthesis.aig_array import aig_arrays
+        from repro.synthesis.cuts import cut_set_for
+
+        aig = run_flow("resyn2rs", benchmark_by_name("add-16").build()).aig
+        cut_set = cut_set_for(aig)
+        key = f"{aig_fingerprint(aig)}:{cut_set.max_inputs}:{cut_set.cut_limit}"
+        try:
+            handle = shm.publish_subject(key, aig, aig_arrays(aig), cut_set)
+        except OSError:
+            pytest.skip("no usable shared memory on this platform")
+        monkeypatch.setattr(engine_module, "_OPTIMIZED_AIGS", {})
+        monkeypatch.setattr(engine_module, "_ACTIVITY_REPORTS", {})
+        try:
+            engine_module._OPTIMIZED_AIGS[("add-16", "resyn2rs")] = (
+                shm.resolve_subject(handle)
+            )
+            assert shm.attachment_count() == 1
+            engine_module._release_attached_subjects()
+            assert engine_module._OPTIMIZED_AIGS == {}
+            assert shm.attachment_count() == 0
+            assert shm._ZOMBIES == []
+        finally:
+            shm.drop_attachments()
+            shm.release_subjects()
 
     def test_jobs2_shared_memory_smoke(self):
         """Fast-lane transport smoke: a --jobs 2 run over two benchmarks must
@@ -564,16 +589,13 @@ class TestSharedMemoryTransport:
         engine.run_map_jobs(_jobs()[:1])
         assert engine_module._OPTIMIZED_AIGS[("add-16", "resyn2rs")] is subject
 
-    @pytest.mark.skipif(
-        "forkserver" not in multiprocessing.get_all_start_methods(),
-        reason="no forkserver start method on this platform",
-    )
-    def test_forkserver_attach_leaves_no_tracker_noise(self):
-        """forkserver workers attach the published segments; releasing them
-        must not make the shared resource tracker report a KeyError."""
+    @staticmethod
+    def _map_on_pool(start_method: str) -> subprocess.CompletedProcess:
+        """A two-subject jobs=2 batch on a ``start_method`` pool, run in a
+        fresh interpreter so its teardown output can be inspected."""
         import repro
 
-        script = """
+        script = f"""
 import functools
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
@@ -582,11 +604,14 @@ from repro.core.families import LogicFamily
 from repro.experiments import resilience
 from repro.experiments.engine import ExperimentEngine, MapJob
 
-resilience.ProcessPoolExecutor = functools.partial(
-    ProcessPoolExecutor, mp_context=multiprocessing.get_context("forkserver")
-)
-jobs = [MapJob(name, LogicFamily.TG_STATIC) for name in ("add-16", "t481")]
-ExperimentEngine(jobs=2, use_cache=False).run_map_jobs(jobs)
+if __name__ == "__main__":
+    resilience.ProcessPoolExecutor = functools.partial(
+        ProcessPoolExecutor, mp_context=multiprocessing.get_context({start_method!r})
+    )
+    jobs = [MapJob(name, LogicFamily.TG_STATIC) for name in ("add-16", "t481")]
+    engine = ExperimentEngine(jobs=2, use_cache=False)
+    engine.run_map_jobs(jobs)
+    print("shm_degraded", engine.robustness_stats()["shm_degraded"])
 """
         src = str(Path(repro.__file__).resolve().parents[1])
         done = subprocess.run(
@@ -597,4 +622,26 @@ ExperimentEngine(jobs=2, use_cache=False).run_map_jobs(jobs)
             timeout=300,
         )
         assert done.returncode == 0, done.stderr
+        assert "shm_degraded 0" in done.stdout, done.stdout
+        return done
+
+    @pytest.mark.skipif(
+        "forkserver" not in multiprocessing.get_all_start_methods(),
+        reason="no forkserver start method on this platform",
+    )
+    def test_forkserver_attach_leaves_no_tracker_noise(self):
+        """forkserver workers attach the published segments; releasing them
+        must not make the shared resource tracker report a KeyError."""
+        done = self._map_on_pool("forkserver")
         assert "KeyError" not in done.stderr, done.stderr
+
+    @pytest.mark.skipif(
+        "spawn" not in multiprocessing.get_all_start_methods(),
+        reason="no spawn start method on this platform",
+    )
+    def test_spawn_workers_close_attachments_before_exit(self):
+        """spawn workers attach the published segments; they must close
+        them before exiting instead of leaving SharedMemory.__del__ to
+        report a BufferError on the still-exported views."""
+        done = self._map_on_pool("spawn")
+        assert "BufferError" not in done.stderr, done.stderr

@@ -1,11 +1,11 @@
-"""End-to-end observability: cross-process traces, profile merge, CLI flags.
+"""End-to-end observability: cross-process traces, stage merge, CLI flags.
 
 The tracer unit tests live in ``tests/obs``; this module pins the contract
 *through the engine and runner*: worker spans come home pid-tagged, cache
-hits synthesize spans in the parent, a parallel ``--profile`` reports the
-same per-job stage entries as a sequential one (the worker-snapshot merge
-bugfix), fault handling leaves crash/retry markers in the trace, and the
-CLI exporters write valid files while leaving the artifacts byte-identical.
+hits synthesize spans in the parent, a parallel trace carries the same
+per-job stage spans as a sequential one, fault handling leaves crash/retry
+markers in the trace, and the CLI exporters write valid files while leaving
+the artifacts byte-identical.
 """
 
 import json
@@ -120,32 +120,72 @@ class TestCrossProcessTrace:
         assert _result_view(traced) == _result_view(plain)
 
 
-class TestProfileMerge:
-    """Satellite bugfix: --profile with --jobs > 1 must not drop worker
-    stage timings."""
+    def test_tracing_does_not_change_the_synthesis_calls(self, monkeypatch):
+        """No job path branches on tracing: a traced run makes exactly the
+        synthesis calls of an untraced one."""
+        from repro.experiments import engine as engine_module
 
-    def _profile(self, jobs):
-        obs.enable_profile()
+        calls = []
+        for name in (
+            "run_flow",
+            "compute_activities",
+            "technology_map",
+            "analyze_power",
+        ):
+            original = getattr(engine_module, name)
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(engine_module, name, spy)
+
+        def run():
+            calls.clear()
+            monkeypatch.setattr(engine_module, "_OPTIMIZED_AIGS", {})
+            ExperimentEngine(jobs=1, use_cache=False).run_map_jobs(_jobs())
+            return list(calls)
+
+        untraced = run()
+        obs.enable_tracing()
+        traced = run()
+        assert traced == untraced
+        assert traced.count("technology_map") == len(FAMILIES)
+
+
+class TestStageMerge:
+    """A trace with --jobs > 1 must not drop worker stage spans."""
+
+    def _trace(self, jobs):
+        obs.enable_tracing()
         try:
             ExperimentEngine(jobs=jobs, use_cache=False).run_map_jobs(_jobs())
-            return obs.profile_snapshot()
+            return obs.spans()
         finally:
-            obs.disable_profile()
+            obs.disable_tracing()
+            obs.reset()
 
-    def test_parallel_profile_matches_sequential_entry_counts(self):
-        sequential = self._profile(1)
-        parallel = self._profile(4)
-        # One entry per job for the per-job stages, both ways.  (optimize /
-        # activity memoize per process, so their entry counts legitimately
+    @staticmethod
+    def _stage_counts(spans):
+        counts = {}
+        for record in spans:
+            if record.category == "stage":
+                counts[record.name] = counts.get(record.name, 0) + 1
+        return counts
+
+    def test_parallel_trace_matches_sequential_stage_counts(self):
+        sequential = self._stage_counts(self._trace(1))
+        parallel = self._stage_counts(self._trace(4))
+        # One span per job for the per-job stages, both ways.  (optimize /
+        # activity memoize per process, so their counts legitimately
         # differ between one process and four.)
-        for stage in ("cuts", "match", "cover", "power", "verify"):
-            assert parallel["entries"][stage] == sequential["entries"][stage], stage
+        for stage in ("cuts", "match", "cover", "power"):
+            assert parallel[stage] == sequential[stage], stage
 
-    def test_parallel_profile_reports_nonzero_stage_seconds(self):
-        parallel = self._profile(2)
-        assert parallel["total_seconds"] > 0
-        assert parallel["stages"]["match"] > 0
-        assert parallel["stages"]["cover"] > 0
+    def test_parallel_trace_reports_nonzero_stage_totals(self):
+        totals = obs.build_metrics(self._trace(2), {})["stage_totals_ms"]
+        assert totals["match"] > 0
+        assert totals["cover"] > 0
 
 
 class TestFailureTelemetry:
@@ -188,17 +228,13 @@ class TestFailureTelemetry:
 
     def test_exhausted_retries_count_degraded_inprocess(self):
         obs.enable_tracing()
-        obs.enable_profile(reset=False)
-        try:
-            outcome = run_resilient(
-                _crash_in_pool_workers,
-                [(5, os.getpid()), (9, os.getpid())],
-                jobs=2,
-                policy=RetryPolicy(max_attempts=2, backoff_base=0.01),
-            )
-            counters = obs.profile_snapshot()["counters"]
-        finally:
-            obs.disable_profile()
+        outcome = run_resilient(
+            _crash_in_pool_workers,
+            [(5, os.getpid()), (9, os.getpid())],
+            jobs=2,
+            policy=RetryPolicy(max_attempts=2, backoff_base=0.01),
+        )
+        counters = obs.counters()
         assert outcome.results == [4, 8]
         assert counters["jobs.degraded_inprocess"] == 2
         # max_attempts=2: every job crashes twice before degrading.
@@ -291,12 +327,22 @@ class TestRunnerExporters:
                 traced_dir / name
             ).read_bytes(), name
 
-    def test_profile_works_with_parallel_jobs(self, tmp_path):
-        profile_path = tmp_path / "profile.json"
+    def test_metrics_out_attributes_stages_with_parallel_jobs(self, tmp_path):
+        metrics_path = tmp_path / "metrics.json"
         self._run(
-            tmp_path, "--jobs", "2", "--profile-out", str(profile_path)
+            tmp_path, "--jobs", "2", "--no-cache", "--metrics-out", str(metrics_path)
         )
-        report = json.loads(profile_path.read_text())
-        assert report["entries"]["match"] > 0
-        assert report["stages"]["match"] > 0
-        assert report["total_seconds"] > 0
+        report = json.loads(metrics_path.read_text())
+        # optimize is memoized per process, so an earlier run in this
+        # process may have done it already; the per-job stages always run.
+        assert set(report["stage_entries"]) == set(report["stage_totals_ms"])
+        assert {"cuts", "match", "cover", "power"} <= set(report["stage_entries"])
+        assert report["stage_entries"]["match"] > 0
+        assert report["stage_totals_ms"]["match"] > 0
+
+    @pytest.mark.parametrize("flag", [["--profile"], ["--profile-out", "p.json"]])
+    def test_profile_flags_are_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["add-16", *flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

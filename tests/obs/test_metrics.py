@@ -149,7 +149,7 @@ class TestBuildMetrics:
             "jobs.backoff_seconds": 0.75,
         }
         report = build_metrics(self._trace(), counters, run_id="rid")
-        assert report["schema"] == 1
+        assert report["schema"] == 2
         assert report["run_id"] == "rid"
         assert report["spans"]["total"] == 7
         assert report["spans"]["pids"] == [1, 2, 3]
@@ -162,9 +162,19 @@ class TestBuildMetrics:
         assert report["histograms"]["job_latency_ms"]["count"] == 2
         assert report["histograms"]["pass_latency_ms"]["count"] == 1
         assert report["stage_totals_ms"] == {"match": pytest.approx(50.0)}
+        assert report["stage_entries"] == {"match": 2}
         assert report["mapper"]["candidate_rows"] == 15
         assert len(report["top_spans_by_self_time"]) == 5
         assert "robustness" not in report
+
+    def test_stage_entries_share_the_totals_keys_in_sorted_order(self):
+        trace = self._trace() + [
+            _span(8, "cover", "stage", 5_000, 10_000, pid=2),
+            _span(9, "aaa", "pass", 5_000, 10_000, pid=2),
+        ]
+        report = build_metrics(trace, {})
+        assert report["stage_entries"] == {"cover": 1, "match": 2}
+        assert list(report["stage_entries"]) == list(report["stage_totals_ms"])
 
     def test_cache_figures_prefer_robustness_stats(self):
         robustness = {"cache": {"hits": 3, "misses": 1}}
@@ -175,5 +185,6 @@ class TestBuildMetrics:
     def test_empty_trace_produces_a_valid_report(self):
         report = build_metrics([], {}, run_id=None)
         assert report["spans"]["total"] == 0
+        assert report["stage_entries"] == {}
         assert report["cache"]["hit_rate"] == 0.0
         assert report["top_spans_by_self_time"] == []

@@ -121,60 +121,21 @@ class TestModes:
             pass
         assert obs.spans() == []
         assert obs.counters() == {}
-        assert obs.profile_snapshot()["stages"] == {}
 
-    def test_profile_mode_accumulates_stages_without_spans(self):
-        obs.enable_profile()
-        with obs.stage("match"):
-            pass
-        with obs.stage("match"):
-            pass
-        assert obs.spans() == []
-        snapshot = obs.profile_snapshot()
-        assert snapshot["entries"] == {"match": 2}
-        assert snapshot["stages"]["match"] >= 0.0
-        assert snapshot["total_seconds"] == sum(snapshot["stages"].values())
-
-    def test_trace_mode_records_stage_spans_and_accumulators(self):
+    def test_stage_records_a_stage_category_span(self):
         obs.enable_tracing()
-        with obs.stage("cover"):
-            pass
-        assert [record.name for record in obs.spans()] == ["cover"]
-        assert obs.spans()[0].category == "stage"
-        assert obs.profile_snapshot()["entries"] == {"cover": 1}
+        with obs.span("job"):
+            with obs.stage("cover"):
+                pass
+        cover, job = obs.spans()
+        assert (cover.name, cover.category) == ("cover", "stage")
+        assert cover.parent_id == job.span_id
 
-    def test_profile_mode_accumulates_stages_and_counters(self):
-        obs.enable_profile()
-        try:
-            with obs.stage("verify"):
-                obs.count("checks", 3)
-            snapshot = obs.profile_snapshot()
-        finally:
-            obs.disable_profile()
-        assert snapshot["entries"] == {"verify": 1}
-        assert snapshot["counters"] == {"checks": 3}
-        assert obs.profile_active() is False
-
-    def test_trace_only_mode_does_not_claim_profile_active(self):
-        # The engine keys its verify stage off obs.profile_active(); tracing
-        # must never flip it or traced artifacts would diverge.
+    def test_stage_handle_records_attributes(self):
         obs.enable_tracing()
-        assert obs.profile_active() is False
-        assert obs.tracing_active() is True
-
-    def test_enable_profile_preserves_a_live_trace(self):
-        obs.enable_tracing()
-        with obs.span("early"):
-            pass
-        obs.enable_profile()
-        assert [record.name for record in obs.spans()] == ["early"]
-
-    def test_enable_profile_alone_resets_previous_figures(self):
-        obs.enable_profile()
-        with obs.stage("old"):
-            pass
-        obs.enable_profile()
-        assert obs.profile_snapshot()["entries"] == {}
+        with obs.stage("cuts") as handle:
+            handle.set("nodes", 12)
+        assert obs.spans()[0].attributes == {"nodes": 12}
 
     def test_run_id_default_and_env_override(self, monkeypatch):
         monkeypatch.delenv("REPRO_RUN_ID", raising=False)
@@ -190,15 +151,14 @@ class TestModes:
         obs.count("jobs.retry")
         obs.count("jobs.backoff_seconds", 0.25)
         assert obs.counters() == {"jobs.retry": 2, "jobs.backoff_seconds": 0.25}
-        snapshot = obs.profile_snapshot()
-        assert snapshot["counters"]["jobs.retry"] == 2
-        assert isinstance(snapshot["counters"]["jobs.retry"], int)
+        assert isinstance(obs.counters()["jobs.retry"], int)
 
 
 class TestWorkerProtocol:
     def test_worker_config_round_trip(self):
         obs.enable_tracing("run-77")
         config = obs.worker_config()
+        assert config == {"trace": True, "run_id": "run-77"}
         obs.reset()
         obs.activate_worker(config)
         assert obs.remote_active()
@@ -222,41 +182,37 @@ class TestWorkerProtocol:
         assert obs.spans() == []
 
     def test_drain_ships_deltas_only(self):
-        obs.activate_worker({"trace": True, "profile": True, "run_id": "r"})
+        obs.activate_worker({"trace": True, "run_id": "r"})
         with obs.stage("match"):
             obs.count("ticks", 2)
         first = obs.drain_worker_blob()
+        assert set(first) == {"pid", "spans", "counters"}
         assert [span["name"] for span in first["spans"]] == ["match"]
         assert first["counters"] == {"ticks": 2}
-        assert first["stage_entries"] == {"match": 1}
 
         with obs.stage("cover"):
             obs.count("ticks", 1)
         second = obs.drain_worker_blob()
         assert [span["name"] for span in second["spans"]] == ["cover"]
         assert second["counters"] == {"ticks": 1}
-        assert second["stage_entries"] == {"cover": 1}
-        assert "match" not in second["stage_seconds"]
 
     def test_drain_disabled_returns_none(self):
         assert obs.drain_worker_blob() is None
 
     def test_merge_blob_folds_spans_counters_and_stages(self):
-        obs.activate_worker({"trace": True, "profile": True, "run_id": "r"})
+        obs.activate_worker({"trace": True, "run_id": "r"})
         with obs.stage("match"):
             obs.count("ticks", 2)
         blob = obs.drain_worker_blob()
 
         obs.reset()
         obs.enable_tracing()
-        obs.enable_profile(reset=False)
         with obs.stage("match"):
             obs.count("ticks", 1)
         obs.merge_blob(blob)
         assert obs.counters() == {"ticks": 3}
-        snapshot = obs.profile_snapshot()
-        assert snapshot["entries"] == {"match": 2}
-        assert len(obs.spans()) == 2
+        stages = [(s.name, s.category) for s in obs.spans()]
+        assert stages == [("match", "stage")] * 2
 
     def test_merge_blob_accepts_none(self):
         obs.merge_blob(None)  # disabled workers ship nothing
@@ -280,8 +236,6 @@ class TestWorkerProtocol:
                     for index, name in enumerate(names)
                 ],
                 "counters": {"ticks": len(names)},
-                "stage_seconds": {},
-                "stage_entries": {},
             }
 
         blob_a = blob(111, ["a1", "a2"])
@@ -315,19 +269,3 @@ class TestWorkerProtocol:
         )
         assert SpanRecord.from_dict(record.as_dict()) == record
 
-
-class TestProfileSnapshotShape:
-    def test_snapshot_keys_are_sorted_and_ints_stay_ints(self):
-        obs.enable_profile()
-        with obs.stage("zeta"):
-            pass
-        with obs.stage("alpha"):
-            pass
-        obs.count("whole", 2)
-        obs.count("fraction", 0.5)
-        snapshot = obs.profile_snapshot()
-        assert list(snapshot["stages"]) == ["alpha", "zeta"]
-        assert list(snapshot["entries"]) == ["alpha", "zeta"]
-        assert snapshot["counters"] == {"fraction": 0.5, "whole": 2}
-        assert isinstance(snapshot["counters"]["whole"], int)
-        assert set(snapshot) == {"stages", "entries", "counters", "total_seconds"}
