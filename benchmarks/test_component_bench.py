@@ -74,7 +74,7 @@ def test_bench_matching_batch(benchmark, multiplier_aig, libraries, matchers):
     cut_set = cut_set_for(multiplier_aig)
 
     def run():
-        for field in ("_match_tables", "_function_tables", "_projected"):
+        for field in ("_match_tables", "_function_table", "_projected"):
             cut_set.__dict__.pop(field, None)
         npn._COLUMN_MEMO.clear()
         return matcher.match_table(cut_set, arrays.and_nodes, "delay")

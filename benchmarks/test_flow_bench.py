@@ -1,6 +1,6 @@
 """Benchmark: the named synthesis flows and their balance/rewrite passes.
 
-Times every registered flow through the pass manager on a mid-size
+Times every built-in flow through the flow driver on a mid-size
 benchmark, plus the two passes of the ``resyn2rs`` lane on their own.
 Results are exported as pytest-benchmark JSON by the nightly CI job (see
 ``.github/workflows/ci.yml``).
@@ -9,7 +9,7 @@ Results are exported as pytest-benchmark JSON by the nightly CI job (see
 import pytest
 
 from repro.bench.registry import benchmark_by_name
-from repro.flow import available_flows, run_flow
+from repro.flow import PASSES, available_flows, run_flow
 
 pytestmark = pytest.mark.slow
 
@@ -32,13 +32,11 @@ def test_bench_single_pass(benchmark, pass_name):
     flow -- with the per-AIG cut-set memo dropped each round so every round
     pays for cut enumeration like a cold flow does.
     """
-    from repro.flow.passes import get_pass
-
     aig = benchmark_by_name("C1355").build()
     if pass_name == "rewrite":
         aig = run_flow("quick", aig).aig
 
-    run = get_pass(pass_name).run
+    run = PASSES[pass_name]
 
     def setup():
         aig.__dict__.pop("_cut_sets", None)

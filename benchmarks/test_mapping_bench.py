@@ -16,6 +16,7 @@ from repro.bench.registry import benchmark_by_name
 from repro.core.families import LogicFamily
 from repro.flow import run_flow
 from repro.synthesis.mapper import map_rounds
+from tests.oracles.mapper import full_resolve
 
 pytestmark = pytest.mark.slow
 
@@ -80,11 +81,9 @@ def test_bench_incremental_recovery(benchmark, libraries, matchers, subject_aigs
         matcher=matcher,
         objective="delay",
         rounds=2,
-        incremental=True,
     )
-    full = map_rounds(
-        aig, library, matcher=matcher, objective="delay", rounds=2, incremental=False
-    )
+    with full_resolve():
+        full = map_rounds(aig, library, matcher=matcher, objective="delay", rounds=2)
     assert [r.area for r in result.rounds] == [r.area for r in full.rounds]
     assert result.final.normalized_delay == full.final.normalized_delay
     assert result.final.area == full.final.area

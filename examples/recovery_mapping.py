@@ -5,16 +5,14 @@ Demonstrates the multi-round mapping engine on Table-3 circuits:
 1. map delay-optimal (round 0) and with two area-recovery rounds, comparing
    area at the (guaranteed unchanged) worst delay;
 2. inspect the per-round trajectory recorded in the
-   :class:`~repro.synthesis.mapper.MappingResult`;
-3. run mapping as a flow pass (``map`` from :mod:`repro.flow.mapping`)
-   interleaved with resynthesis.
+   :class:`~repro.synthesis.mapper.MappingResult`.
 
 Run with:  python examples/recovery_mapping.py
 """
 
 from repro.bench.registry import benchmark_by_name
 from repro.core import LogicFamily, build_library
-from repro.flow import FlowSpec, register_flow, run_flow
+from repro.flow import run_flow
 from repro.synthesis import map_rounds
 from repro.synthesis.matcher import matcher_for
 
@@ -54,27 +52,6 @@ def round_trajectory() -> None:
               f"{mapped.worst_slack:6.3f}  [{tag}]")
 
 
-def mapping_as_a_pass() -> None:
-    register_flow(FlowSpec(
-        name="resyn-map",
-        description="two rewrite rounds with a final mapping",
-        prologue=("balance",),
-        round_passes=("rewrite", "balance"),
-        max_rounds=2,
-    ), replace=True)
-    aig = benchmark_by_name("t481").build()
-    # The built-in `map` pass targets the static TG library; flows can place
-    # it anywhere in the pipeline.
-    register_flow(FlowSpec(name="resyn-map-final",
-                           prologue=("balance", "rewrite", "balance", "map")),
-                  replace=True)
-    result = run_flow("resyn-map-final", aig)
-    mapped = result.mapped
-    print(f"\nflow-integrated mapping of t481: {mapped.gate_count} gates, "
-          f"area {mapped.area:.1f}, stats {mapped.statistics()}")
-
-
 if __name__ == "__main__":
     recovery_comparison()
     round_trajectory()
-    mapping_as_a_pass()

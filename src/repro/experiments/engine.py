@@ -511,17 +511,8 @@ def _subject_aig(benchmark: str, flow: str) -> Aig:
                 "register_benchmark) must come from an imported module (or "
                 "use jobs=1) for parallel runs on spawn-based platforms"
             ) from error
-        try:
-            with obs.stage("optimize"):
-                result = run_flow(flow, case.build())
-        except KeyError as error:
-            # Same re-import caveat for flows registered at run time.
-            raise RuntimeError(
-                f"flow {flow!r} is not registered in this worker process; "
-                "custom flows must be registered from an imported module (or "
-                "use jobs=1) for parallel runs"
-            ) from error
-        cached = result.aig
+        with obs.stage("optimize"):
+            cached = run_flow(flow, case.build()).aig
         _OPTIMIZED_AIGS[key] = cached
     return cached
 
@@ -936,7 +927,7 @@ class ExperimentEngine:
     ) -> Table3Result:
         """Regenerate Table 3 through the job engine.
 
-        ``flow`` names the registered technology-independent flow run before
+        ``flow`` names the built-in technology-independent flow run before
         mapping.  ``rounds``/``recovery`` select the mapper's required-time
         recovery configuration (``--map-rounds`` / ``--map-recovery`` on the
         runner).

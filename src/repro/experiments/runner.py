@@ -32,7 +32,7 @@ Scheduling goes through the parallel experiment engine
     (default: ``resyn2rs``, the paper's flow).  The flow name and the flow's
     pass-pipeline fingerprint are folded into the cache key, so results
     computed under one flow never satisfy requests for another.
-    ``--list-flows`` prints every registered flow and exits.
+    ``--list-flows`` prints the built-in flows and exits.
 
 ``--objective {delay,area,power}``
     Mapping objective of the Table-3 jobs (default: ``delay``).  The
@@ -190,7 +190,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--list-flows",
         action="store_true",
-        help="print the registered synthesis flows and exit",
+        help="print the built-in synthesis flows and exit",
     )
     parser.add_argument(
         "--objective",
@@ -298,6 +298,8 @@ def main(argv: list[str] | None = None) -> int:
     get_flow(args.flow)  # reject unknown flows before doing any work
     if args.map_rounds < 0:
         parser.error("--map-rounds must be non-negative")
+    if args.power_vectors < 1:
+        parser.error("--power-vectors must be positive")
 
     extra_names = []
     for path in args.extra_benchmark:

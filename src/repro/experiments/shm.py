@@ -370,13 +370,12 @@ def resolve_subject(handle: SubjectHandle) -> Aig:
     )
     if "fn_inverse" in views:
         # Pre-install the shipped match index: zero-copy views over the
-        # parent's canonicalization columns, keyed exactly as
-        # ``cut_function_table`` would memoize its own (output negation on,
-        # the engine's matcher configuration).
+        # parent's canonicalization columns, stored where
+        # ``cut_function_table`` memoizes its own.
         functions = CutFunctionTable(
             **{field: views[f"fn_{field}"] for field in _FUNCTION_TABLE_FIELDS}
         )
-        object.__setattr__(cut_set, "_function_tables", {True: functions})
+        object.__setattr__(cut_set, "_function_table", functions)
     structure = (aig.num_nodes, aig.num_pos)
     aig.__dict__["_array_view"] = (structure, arrays)
     aig.__dict__["_cut_sets"] = (

@@ -1,6 +1,8 @@
-"""Flow specifications: named pass pipelines with a fixpoint driver.
+"""Technology-independent synthesis flows: named pass pipelines.
 
-A :class:`FlowSpec` describes a technology-independent optimization flow as
+A *pass* is a function-preserving AIG-to-AIG transformation; :data:`PASSES`
+names the ones the built-in flows run (the algorithms live in
+:mod:`repro.synthesis.optimize`).  A :class:`FlowSpec` describes a flow as
 data: a *prologue* (passes run once), a *round* (passes repeated up to
 ``max_rounds`` times or until the node count stops improving), and the
 best-result bookkeeping that makes the flow monotone (never return a larger
@@ -8,7 +10,7 @@ or deeper network than the input).  The driver in :meth:`FlowSpec.run`
 executes the spec, timing every pass and recording node/depth telemetry in
 the returned :class:`FlowResult`.
 
-Built-in flows:
+Built-in flows (:data:`FLOWS`):
 
 ``none``
     Identity -- map the subject graph exactly as built.
@@ -23,42 +25,55 @@ Built-in flows:
     A longer sweep interleaving 4- and 3-input rewriting over up to six
     rounds, for flow-diversity experiments.
 
-Custom flows are plain :class:`FlowSpec` instances registered with
-:func:`register_flow`; the experiment engine keys its result cache on
-:meth:`FlowSpec.fingerprint`, so editing a flow's definition automatically
-invalidates stale cached artifacts.
+The experiment engine schedules mapping jobs by flow name and keys its
+result cache on :meth:`FlowSpec.fingerprint`, so editing a flow's
+definition automatically invalidates stale cached artifacts.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import Callable
 
 from repro import obs
-from repro.flow.passes import PassResult, get_pass
 from repro.synthesis.aig import Aig
+from repro.synthesis.optimize import balance, rewrite
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.synthesis.mapper import MappedCircuit
+#: The passes the built-in flows run, by name.  Every pass preserves the
+#: Boolean function of the network.
+PASSES: dict[str, Callable[[Aig], Aig]] = {
+    # collapse AND trees and rebuild them depth-balanced (ABC `balance`)
+    "balance": balance,
+    # cut-based resynthesis from 4-input cut functions (ABC `rewrite`/`refactor`)
+    "rewrite": rewrite,
+    # cut-based resynthesis restricted to 3-input cuts (cheap cleanup rounds)
+    "rewrite3": lambda aig: rewrite(aig, max_inputs=3),
+}
 
 #: The flow used when no flow is named (the paper's synthesis script).
 DEFAULT_FLOW = "resyn2rs"
 
 
+@dataclass(frozen=True)
+class PassResult:
+    """Telemetry of one pass execution inside a flow."""
+
+    name: str
+    nodes_before: int
+    nodes_after: int
+    depth_before: int
+    depth_after: int
+    seconds: float
+
+
 @dataclass
 class FlowResult:
-    """Outcome of one flow execution: the optimized AIG plus per-pass telemetry.
-
-    ``mapped`` carries the technology-mapped circuit of the last mapping
-    pass the flow executed (see :mod:`repro.flow.mapping`), or ``None`` for
-    purely technology-independent flows.
-    """
+    """Outcome of one flow execution: the optimized AIG plus per-pass telemetry."""
 
     flow: str
     aig: Aig
     passes: list[PassResult] = field(default_factory=list)
-    mapped: "MappedCircuit | None" = None
 
     @property
     def seconds(self) -> float:
@@ -83,9 +98,9 @@ class FlowSpec:
 
     ``prologue`` passes run once; ``round_passes`` run as a block up to
     ``max_rounds`` times, stopping early when a full round fails to shrink
-    the network.  With ``keep_best`` the smallest (then shallowest)
-    intermediate result is returned instead of the last; with
-    ``compare_input`` the unmodified input wins if it was already smaller.
+    the network.  The smallest (then shallowest) of the prologue output and
+    the round results is returned, or the unmodified input if it was
+    already smaller.
     """
 
     name: str
@@ -93,12 +108,16 @@ class FlowSpec:
     prologue: tuple[str, ...] = ()
     round_passes: tuple[str, ...] = ()
     max_rounds: int = 0
-    keep_best: bool = True
-    compare_input: bool = True
 
     def __post_init__(self) -> None:
         if self.max_rounds < 0:
             raise ValueError("max_rounds must be non-negative")
+        unknown = [name for name in self.pass_names() if name not in PASSES]
+        if unknown:
+            raise KeyError(
+                f"unknown pass(es) {', '.join(unknown)}; "
+                f"known passes: {', '.join(PASSES)}"
+            )
 
     def pass_names(self) -> tuple[str, ...]:
         """Every pass the flow can execute, in first-use order."""
@@ -118,41 +137,29 @@ class FlowSpec:
         return (
             f"{self.name}|prologue={','.join(self.prologue)}"
             f"|round={','.join(self.round_passes)}|max_rounds={self.max_rounds}"
-            f"|keep_best={int(self.keep_best)}|compare_input={int(self.compare_input)}"
         )
 
     def run(self, aig: Aig) -> FlowResult:
-        """Execute the flow, collecting per-pass timing and node telemetry.
-
-        Passes exposing a ``last_mapped`` attribute (mapping passes, see
-        :mod:`repro.flow.mapping`) additionally contribute a technology
-        mapping; the last one executed is returned as ``result.mapped``
-        (note it reflects the network state at that point of the pipeline,
-        which the keep-best bookkeeping below does not rewind).
-        """
+        """Execute the flow, collecting per-pass timing and node telemetry."""
         telemetry: list[PassResult] = []
-        last_mapped = [None]
 
         def apply(pass_name: str, current: Aig) -> Aig:
-            pass_ = get_pass(pass_name)
-            if hasattr(pass_, "last_mapped"):
-                pass_.last_mapped = None  # stale results must not leak in
             nodes_before, depth_before = current.num_ands, current.depth()
             start = time.perf_counter()
             with obs.span(
-                pass_.name,
+                pass_name,
                 category="pass",
                 flow=self.name,
                 nodes_before=nodes_before,
                 depth_before=depth_before,
             ) as pass_span:
-                transformed = pass_.run(current)
+                transformed = PASSES[pass_name](current)
                 nodes_after, depth_after = transformed.num_ands, transformed.depth()
                 pass_span.set("nodes_after", nodes_after)
                 pass_span.set("depth_after", depth_after)
             telemetry.append(
                 PassResult(
-                    name=pass_.name,
+                    name=pass_name,
                     nodes_before=nodes_before,
                     nodes_after=nodes_after,
                     depth_before=depth_before,
@@ -160,9 +167,6 @@ class FlowSpec:
                     seconds=time.perf_counter() - start,
                 )
             )
-            produced = getattr(pass_, "last_mapped", None)
-            if produced is not None:
-                last_mapped[0] = produced
             return transformed
 
         current = aig
@@ -173,90 +177,62 @@ class FlowSpec:
             nodes_before_round = current.num_ands
             for pass_name in self.round_passes:
                 current = apply(pass_name, current)
-            if self.keep_best and (current.num_ands, current.depth()) < (
-                best.num_ands,
-                best.depth(),
-            ):
+            if (current.num_ands, current.depth()) < (best.num_ands, best.depth()):
                 best = current
             if current.num_ands >= nodes_before_round:
                 break
-        result = best if self.keep_best else current
-        if self.compare_input and (aig.num_ands, aig.depth()) < (
-            result.num_ands,
-            result.depth(),
-        ):
-            result = aig
-        return FlowResult(
-            flow=self.name, aig=result, passes=telemetry, mapped=last_mapped[0]
-        )
+        if (aig.num_ands, aig.depth()) < (best.num_ands, best.depth()):
+            best = aig
+        return FlowResult(flow=self.name, aig=best, passes=telemetry)
 
 
-_FLOW_REGISTRY: dict[str, FlowSpec] = {}
-
-
-def register_flow(spec: FlowSpec, replace: bool = False) -> FlowSpec:
-    """Add a flow to the registry, validating that its passes exist."""
-    if not spec.name:
-        raise ValueError("a flow must have a non-empty name")
-    if not replace and spec.name in _FLOW_REGISTRY:
-        raise ValueError(f"flow {spec.name!r} is already registered")
-    for pass_name in spec.prologue + spec.round_passes:
-        get_pass(pass_name)  # raises KeyError for unknown passes
-    _FLOW_REGISTRY[spec.name] = spec
-    return spec
+#: The built-in flows, by name.
+FLOWS: dict[str, FlowSpec] = {
+    spec.name: spec
+    for spec in (
+        FlowSpec(
+            name="none",
+            description="identity: map the subject graph exactly as built",
+        ),
+        FlowSpec(
+            name="quick",
+            description="single balancing pass (cheapest useful flow)",
+            prologue=("balance",),
+        ),
+        FlowSpec(
+            name="resyn2rs",
+            description="the paper's flow: balance + up to 3 rounds of rewrite/balance",
+            prologue=("balance",),
+            round_passes=("rewrite", "balance"),
+            max_rounds=3,
+        ),
+        FlowSpec(
+            name="deep",
+            description="longer sweep interleaving 4- and 3-input rewriting (6 rounds)",
+            prologue=("balance",),
+            round_passes=("rewrite", "balance", "rewrite3", "balance"),
+            max_rounds=6,
+        ),
+    )
+}
 
 
 def get_flow(name: str) -> FlowSpec:
-    """Look up a registered flow; raises ``KeyError`` naming the known flows."""
+    """Look up a built-in flow; raises ``KeyError`` naming the known flows."""
     try:
-        return _FLOW_REGISTRY[name]
+        return FLOWS[name]
     except KeyError:
         raise KeyError(
-            f"unknown flow {name!r}; registered flows: {', '.join(available_flows())}"
+            f"unknown flow {name!r}; known flows: {', '.join(available_flows())}"
         ) from None
 
 
 def available_flows() -> tuple[str, ...]:
-    """Names of all registered flows, sorted."""
-    return tuple(sorted(_FLOW_REGISTRY))
+    """Names of all built-in flows, sorted."""
+    return tuple(sorted(FLOWS))
 
 
 def run_flow(flow: str | FlowSpec, aig: Aig) -> FlowResult:
     """Execute a flow by name or spec on an AIG."""
     spec = get_flow(flow) if isinstance(flow, str) else flow
     return spec.run(aig)
-
-
-# -- built-in flows ----------------------------------------------------------
-
-register_flow(
-    FlowSpec(
-        name="none",
-        description="identity: map the subject graph exactly as built",
-    )
-)
-register_flow(
-    FlowSpec(
-        name="quick",
-        description="single balancing pass (cheapest useful flow)",
-        prologue=("balance",),
-    )
-)
-register_flow(
-    FlowSpec(
-        name="resyn2rs",
-        description="the paper's flow: balance + up to 3 rounds of rewrite/balance",
-        prologue=("balance",),
-        round_passes=("rewrite", "balance"),
-        max_rounds=3,
-    )
-)
-register_flow(
-    FlowSpec(
-        name="deep",
-        description="longer sweep interleaving 4- and 3-input rewriting (6 rounds)",
-        prologue=("balance",),
-        round_passes=("rewrite", "balance", "rewrite3", "balance"),
-        max_rounds=6,
-    )
-)

@@ -19,7 +19,7 @@ self-contained flow:
   functions;
 * :mod:`repro.synthesis.matcher` -- Boolean matching of cut functions against
   a characterized :class:`~repro.core.library.GateLibrary`;
-* :mod:`repro.synthesis.cost` -- the pluggable mapping cost models
+* :mod:`repro.synthesis.cost` -- the mapping cost models
   (delay / area-flow / power-flow) owning per-cut cost, tie-breaks and
   preferred-cell selection;
 * :mod:`repro.synthesis.mapper` -- cut-based technology mapping with
@@ -31,7 +31,7 @@ self-contained flow:
 from repro.synthesis.aig import Aig, AigLiteral
 from repro.synthesis.builder import CircuitBuilder
 from repro.synthesis.blif import read_blif, write_blif
-from repro.synthesis.cost import CostModel, cost_model_for, register_cost_model
+from repro.synthesis.cost import CostModel, cost_model_for
 from repro.synthesis.optimize import optimize, balance, rewrite
 from repro.synthesis.cuts import enumerate_cuts
 from repro.synthesis.rewrite_lib import REWRITE_LIBRARY, RewriteLibrary
@@ -61,6 +61,5 @@ __all__ = [
     "MappedCircuit",
     "MappingResult",
     "map_rounds",
-    "register_cost_model",
     "technology_map",
 ]

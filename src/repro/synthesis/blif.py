@@ -31,7 +31,7 @@ def _join_continuations(lines: Iterable[str]) -> list[str]:
             continue
         joined.append(buffer + line)
         buffer = ""
-    if buffer:
+    if buffer.strip():
         joined.append(buffer)
     return joined
 
@@ -41,7 +41,10 @@ def read_blif(text: str, name: str | None = None) -> Aig:
 
     Supports the combinational subset: ``.model``, ``.inputs``, ``.outputs``,
     ``.names`` (with multi-cube covers and the ``0``/``1``/``-`` input
-    notation) and ``.end``.  Latches and subcircuits are rejected.
+    notation) and ``.end``.  Latches and subcircuits are rejected, and so
+    are covers mixing on-set and off-set rows, output values other than
+    ``0``/``1`` and signals driven twice (by two covers, or by a cover and
+    ``.inputs``).
     """
     lines = _join_continuations(text.splitlines())
     model_name = name or "blif"
@@ -69,9 +72,11 @@ def read_blif(text: str, name: str | None = None) -> Aig:
             if not signals:
                 raise BlifParseError(".names with no signals")
             target = signals[-1]
+            if target in covers:
+                raise BlifParseError(f"signal {target!r} is driven twice")
             fanins = signals[:-1]
             cubes: list[str] = []
-            output_value = "1"
+            output_values: set[str] = set()
             bare_rows = cube_rows = 0
             index += 1
             while index < len(lines) and not lines[index].startswith("."):
@@ -81,12 +86,12 @@ def read_blif(text: str, name: str | None = None) -> Aig:
                     # ``.names`` covers are the common form, but tools also
                     # emit the bare output value under declared fanins
                     # (every input a don't-care), so accept both.
-                    output_value = row[0]
+                    output_values.add(row[0])
                     cubes.append("-" * len(fanins))
                     bare_rows += 1
                 elif len(row) == 2:
                     cubes.append(row[0])
-                    output_value = row[1]
+                    output_values.add(row[1])
                     cube_rows += 1
                 else:
                     raise BlifParseError(f"malformed cover row: {lines[index]!r}")
@@ -99,6 +104,15 @@ def read_blif(text: str, name: str | None = None) -> Aig:
                     f"cover of {target!r} mixes bare output-value rows with "
                     "cube rows"
                 )
+            if not output_values <= {"0", "1"}:
+                raise BlifParseError(
+                    f"cover of {target!r} has an output value other than 0/1"
+                )
+            if len(output_values) > 1:
+                raise BlifParseError(
+                    f"cover of {target!r} mixes on-set (1) and off-set (0) rows"
+                )
+            output_value = output_values.pop() if output_values else "1"
             covers[target] = (fanins, cubes, output_value)
         elif keyword == ".end":
             index += 1
@@ -110,24 +124,15 @@ def read_blif(text: str, name: str | None = None) -> Aig:
     aig = Aig(model_name)
     literals: dict[str, AigLiteral] = {}
     for input_name in inputs:
+        if input_name in covers:
+            raise BlifParseError(f"primary input {input_name!r} is driven by .names")
         literals[input_name] = aig.add_pi(input_name)
 
-    def build_signal(signal: str, visiting: set[str]) -> AigLiteral:
-        if signal in literals:
-            return literals[signal]
-        if signal not in covers:
-            raise BlifParseError(f"signal {signal!r} is never defined")
-        if signal in visiting:
-            raise BlifParseError(f"combinational loop through {signal!r}")
-        visiting.add(signal)
+    def build_cover(signal: str) -> AigLiteral:
         fanins, cubes, output_value = covers[signal]
-        fanin_literals = [build_signal(f, visiting) for f in fanins]
-        visiting.remove(signal)
-
         if not fanins:
-            literal = CONST1 if cubes and output_value == "1" else CONST0
-            literals[signal] = literal
-            return literal
+            return CONST1 if cubes and output_value == "1" else CONST0
+        fanin_literals = [literals[fanin] for fanin in fanins]
 
         cube_literals: list[AigLiteral] = []
         for cube in cubes:
@@ -149,11 +154,32 @@ def read_blif(text: str, name: str | None = None) -> Aig:
         literal = aig.or_many(cube_literals) if cube_literals else CONST0
         if output_value == "0":
             literal = lit_complement(literal)
-        literals[signal] = literal
         return literal
 
+    def build_signal(root: str) -> AigLiteral:
+        # Depth-first over the fanin cone with an explicit stack, because a
+        # netlist can be deeper than the interpreter's recursion limit.
+        # Fanins are built left to right before their cover; ``visiting``
+        # holds the covers on the current path.
+        visiting: set[str] = set()
+        stack = [(root, False)]
+        while stack:
+            signal, fanins_built = stack.pop()
+            if fanins_built:
+                visiting.remove(signal)
+                literals[signal] = build_cover(signal)
+            elif signal not in literals:
+                if signal not in covers:
+                    raise BlifParseError(f"signal {signal!r} is never defined")
+                if signal in visiting:
+                    raise BlifParseError(f"combinational loop through {signal!r}")
+                visiting.add(signal)
+                stack.append((signal, True))
+                stack.extend((fanin, False) for fanin in reversed(covers[signal][0]))
+        return literals[root]
+
     for output_name in outputs:
-        aig.add_po(output_name, build_signal(output_name, set()))
+        aig.add_po(output_name, build_signal(output_name))
     return aig
 
 

@@ -21,8 +21,7 @@ The DP of :mod:`repro.synthesis.mapper` consumes two vectorized hooks:
 :meth:`~CostModel.price_batch` prices a whole
 :class:`~repro.synthesis.mapper.CandidateTable` in one numpy expression and
 :meth:`~CostModel.better_batch` compares one candidate slot across all nodes
-of an AIG level.  Both are required (:func:`register_cost_model` rejects a
-model without them).  Prices are a pure function of the candidate match, so
+of an AIG level.  Prices are a pure function of the candidate match, so
 the multi-round recovery driver can price the same pre-matched candidate
 table under different models without re-running Boolean matching.
 :meth:`~CostModel.gate_cost` prices one selected candidate -- the recovery
@@ -277,34 +276,12 @@ class PowerFlowCost:
         )
 
 
-_COST_MODELS: dict[str, CostModel] = {}
-
-
-#: The members every registered model must provide (the mapper calls them all).
-_REQUIRED_HOOKS = ("gate_cost", "price_batch", "better_batch")
-
-
-def register_cost_model(model: CostModel, replace: bool = False) -> CostModel:
-    """Add a cost model to the registry (pluggable mapping objectives).
-
-    Raises ``TypeError`` when the model lacks one of the hooks the mapper
-    calls (:meth:`~CostModel.gate_cost`, :meth:`~CostModel.price_batch`,
-    :meth:`~CostModel.better_batch`).
-    """
-    missing = [
-        hook for hook in _REQUIRED_HOOKS if not callable(getattr(model, hook, None))
-    ]
-    if missing:
-        raise TypeError(
-            f"cost model {getattr(model, 'name', model)!r} lacks required "
-            f"hook(s): {', '.join(missing)}"
-        )
-    if not model.name:
-        raise ValueError("a cost model must have a non-empty name")
-    if not replace and model.name in _COST_MODELS:
-        raise ValueError(f"cost model {model.name!r} is already registered")
-    _COST_MODELS[model.name] = model
-    return model
+#: The mapping objectives, by name.
+_COST_MODELS: dict[str, CostModel] = {
+    "delay": DelayCost(),
+    "area": AreaFlowCost(),
+    "power": PowerFlowCost(),
+}
 
 
 def cost_model_for(objective: str) -> CostModel:
@@ -318,18 +295,13 @@ def cost_model_for(objective: str) -> CostModel:
         ) from None
 
 
-def available_objectives() -> tuple[str, ...]:
-    """Names of all registered mapping objectives, sorted."""
-    return tuple(sorted(_COST_MODELS))
-
-
 def resolve_recovery(objective: str, recovery: str) -> str:
     """Resolve the recovery-round objective of a mapping run.
 
     ``"auto"`` keeps the mapping objective's own cost axis where it has one
     (``power`` recovers power) and falls back to area recovery for the
     delay objective -- the classical delay-map-then-recover-area scheme.
-    The resolved name must be a registered non-delay cost model: recovering
+    The resolved name must be a non-delay cost model: recovering
     "delay" is meaningless (round 0 under the delay model is already
     arrival-optimal).
     """
@@ -342,8 +314,3 @@ def resolve_recovery(objective: str, recovery: str) -> str:
             "delay is what the required times already protect"
         )
     return recovery
-
-
-register_cost_model(DelayCost())
-register_cost_model(AreaFlowCost())
-register_cost_model(PowerFlowCost())

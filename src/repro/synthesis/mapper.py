@@ -856,7 +856,6 @@ def map_rounds(
     max_inputs: int = DEFAULT_MAX_INPUTS,
     cut_limit: int = DEFAULT_CUT_LIMIT,
     activities: "ActivityReport | None" = None,
-    incremental: bool = True,
 ) -> MappingResult:
     """Map an AIG with ``rounds`` required-time recovery rounds.
 
@@ -869,11 +868,6 @@ def map_rounds(
     improve -- slower than round 0, or costlier than the incumbent under
     the recovery model -- are recorded but not accepted, so
     :attr:`MappingResult.final` never regresses either axis.
-
-    ``incremental=False`` forces every recovery re-solve to run the DP from
-    scratch instead of diffing against the previous round's
-    :class:`_DpState`; the results are identical (pinned by the equivalence
-    property tests), the flag exists for those comparisons.
     """
     if rounds < 0:
         raise ValueError("rounds must be non-negative")
@@ -1038,7 +1032,7 @@ def map_rounds(
                         np.asarray(references, dtype=np.float64),
                         required=np.asarray(required, dtype=np.float64),
                         load_aware=True,
-                        state=dp_state if incremental else None,
+                        state=dp_state,
                     )
                     round_choices = _BatchedChoices(
                         recovery_candidates, dp_state.choice.copy()
@@ -1088,7 +1082,7 @@ def technology_map(
 ) -> MappedCircuit:
     """Map an AIG onto a gate library.
 
-    ``objective`` names the registered :class:`~repro.synthesis.cost.CostModel`
+    ``objective`` names the :class:`~repro.synthesis.cost.CostModel`
     driving the dynamic-programming pass: ``"delay"`` minimizes arrival time
     with area flow as tie-break, ``"area"`` minimizes area flow with arrival
     time as tie-break, and ``"power"`` minimizes the activity-weighted

@@ -153,7 +153,6 @@ def build_function_table(
     supports: np.ndarray,
     reduced: np.ndarray,
     inverse: np.ndarray,
-    include_output_negation: bool,
 ) -> CutFunctionTable:
     """Assemble a :class:`CutFunctionTable` from distinct-function columns.
 
@@ -174,9 +173,7 @@ def build_function_table(
         if group.size == 0:
             continue
         group_canon, group_perm, group_phase, group_neg = (
-            canonicalize_bits_batch_columns(
-                reduced[group], arity, include_output_negation
-            )
+            canonicalize_bits_batch_columns(reduced[group], arity, True)
         )
         canon[group] = group_canon
         cut_perm[group, :arity] = group_perm
@@ -197,24 +194,17 @@ def build_function_table(
     )
 
 
-def cut_function_table(
-    cut_set, and_nodes, include_output_negation: bool = True
-) -> CutFunctionTable:
+def cut_function_table(cut_set, and_nodes) -> CutFunctionTable:
     """The (memoized) distinct-function table of a cut set.
 
     Deduplicates all ranked cut functions with one ``np.unique`` pass over
     ``(size, table)`` keys, reads the projected tables from the cut set's
     batched :meth:`~repro.synthesis.cuts.CutSet.projected_tables` column and
     canonicalizes every distinct reduced function through the columnar batch
-    canonicalizer.  Memoized on the cut set per output-negation flag --
-    every library/policy pair of a mapping call shares one table, and the
+    canonicalizer.  Memoized on the cut set -- every library/policy pair of a mapping call shares one table, and the
     shared-memory transport pre-installs it in worker processes.
     """
-    memo = cut_set.__dict__.get("_function_tables")
-    if memo is None:
-        memo = {}
-        object.__setattr__(cut_set, "_function_tables", memo)
-    cached = memo.get(include_output_negation)
+    cached = cut_set.__dict__.get("_function_table")
     if cached is not None:
         return cached
 
@@ -235,9 +225,8 @@ def cut_function_table(
         supports,
         projected,
         inverse,
-        include_output_negation,
     )
-    memo[include_output_negation] = table
+    object.__setattr__(cut_set, "_function_table", table)
     return table
 
 
@@ -257,19 +246,18 @@ class LibraryMatcher:
     -> cut.
     """
 
-    def __init__(self, library: GateLibrary, allow_output_negation: bool = True) -> None:
+    def __init__(self, library: GateLibrary) -> None:
         self.library = library
-        self.allow_output_negation = allow_output_negation
         self._by_area: dict[tuple[int, int], CellMatch] = {}
         self._by_delay: dict[tuple[int, int], CellMatch] = {}
         # Lives with the matcher; cleared whenever it reaches _MATCH_MEMO_LIMIT.
         self._match_memo: dict[tuple[int, int, str], CellMatch | None] = {}
-        self._build(allow_output_negation)
+        self._build()
 
-    def _build(self, allow_output_negation: bool) -> None:
+    def _build(self) -> None:
         for cell in self.library.cells:
             canon_bits, perm, phase, negated = canonicalize_bits(
-                cell.function.bits, cell.arity, allow_output_negation
+                cell.function.bits, cell.arity, True
             )
             key = (cell.arity, canon_bits)
             candidate = CellMatch(cell, InputMatch(perm, phase, negated))
@@ -300,7 +288,7 @@ class LibraryMatcher:
         except KeyError:
             pass
         canon_bits, perm, phase, negated = canonicalize_bits(
-            table_bits, num_leaves, self.allow_output_negation
+            table_bits, num_leaves, True
         )
         table = self._by_delay if prefer == "delay" else self._by_area
         entry = table.get((num_leaves, canon_bits))
@@ -449,8 +437,7 @@ class LibraryMatcher:
         reduced = project_table_batch(tables, support_masks)
         inverse = np.arange(sizes.shape[0], dtype=np.int64)
         functions = build_function_table(
-            sizes, tables, support_masks, reduced, inverse,
-            self.allow_output_negation,
+            sizes, tables, support_masks, reduced, inverse
         )
         return self._resolve_function_table(functions, prefer)
 
@@ -474,9 +461,7 @@ class LibraryMatcher:
             "match-batch", category="synthesis",
             library=self.library.name, prefer=prefer,
         ) as span:
-            functions = cut_function_table(
-                cut_set, and_nodes, self.allow_output_negation
-            )
+            functions = cut_function_table(cut_set, and_nodes)
             table = self._resolve_function_table(functions, prefer)
             hits = int(table.matched.sum())
             obs.count("match.batch_rows", functions.num_rows)
@@ -544,21 +529,18 @@ def _build_arity_index(
     return index
 
 
-# Process-lifetime, keyed by the finite library registry (name, negation flag).
-_MATCHER_CACHE: dict[tuple[str, bool], LibraryMatcher] = {}
+# Process-lifetime, keyed by the finite library registry.
+_MATCHER_CACHE: dict[str, LibraryMatcher] = {}
 
 
-def matcher_for(
-    library: GateLibrary, allow_output_negation: bool = True
-) -> LibraryMatcher:
+def matcher_for(library: GateLibrary) -> LibraryMatcher:
     """Build (and cache) the matcher of a library.
 
-    One matcher per (library, output-negation flag) is reused across all
-    benchmarks of an experiment run.
+    One matcher per library is reused across all benchmarks of an
+    experiment run.
     """
-    key = (library.name, allow_output_negation)
-    cached = _MATCHER_CACHE.get(key)
+    cached = _MATCHER_CACHE.get(library.name)
     if cached is None or cached.library is not library:
-        cached = LibraryMatcher(library, allow_output_negation=allow_output_negation)
-        _MATCHER_CACHE[key] = cached
+        cached = LibraryMatcher(library)
+        _MATCHER_CACHE[library.name] = cached
     return cached

@@ -436,20 +436,14 @@ def rewrite(aig: Aig, max_inputs: int = 4, trace: list | None = None) -> Aig:
     return builder.finish_cleaned(aig.name, aig.po_names, po_literals)
 
 
-def optimize(aig: Aig, max_rounds: int = 3) -> Aig:
+def optimize(aig: Aig) -> Aig:
     """The ``resyn2rs`` stand-in: interleave balancing and rewriting to a fixpoint.
 
-    Since the pass-based flow framework landed this is a thin wrapper over
-    the registered ``resyn2rs`` flow (balance prologue, up to ``max_rounds``
-    rounds of rewrite + balance, best intermediate result kept); see
-    :mod:`repro.flow`.  The returned AIG is never larger or deeper than the
-    input even when a rewriting round locally increases the node count.
+    This is the ``resyn2rs`` flow of :mod:`repro.flow` (balance prologue, up
+    to three rounds of rewrite + balance, best intermediate result kept).
+    The returned AIG is never larger or deeper than the input even when a
+    rewriting round locally increases the node count.
     """
-    from dataclasses import replace
+    from repro.flow import run_flow
 
-    from repro.flow import get_flow
-
-    flow = get_flow("resyn2rs")
-    if max_rounds != flow.max_rounds:
-        flow = replace(flow, max_rounds=max_rounds)
-    return flow.run(aig).aig
+    return run_flow("resyn2rs", aig).aig

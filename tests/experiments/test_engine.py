@@ -99,19 +99,16 @@ class TestFingerprints:
         # Redefining a flow (different pass pipeline under the same name)
         # must change the cache key, invalidating stale artifacts.
         from dataclasses import replace
+        from unittest import mock
 
-        from repro.flow import get_flow, register_flow
+        from repro.flow import FLOWS
 
         engine = ExperimentEngine(cache_dir=tmp_path)
         job = MapJob("add-16", LogicFamily.TG_STATIC, flow="quick")
         before = engine.map_job_key(job)
-        original = get_flow("quick")
-        try:
-            register_flow(replace(original, max_rounds=2, round_passes=("rewrite",)),
-                          replace=True)
+        redefined = replace(FLOWS["quick"], max_rounds=2, round_passes=("rewrite",))
+        with mock.patch.dict(FLOWS, {"quick": redefined}):
             assert engine.map_job_key(job) != before
-        finally:
-            register_flow(original, replace=True)
         assert engine.map_job_key(job) == before
 
 
@@ -523,9 +520,8 @@ class TestSharedMemoryTransport:
             parent_table = cut_function_table(cut_set, arrays.and_nodes)
             rebuilt = shm.resolve_subject(handle)
             rebuilt_cuts = cut_set_for(rebuilt)
-            installed = rebuilt_cuts.__dict__.get("_function_tables", {})
-            assert True in installed
-            worker_table = installed[True]
+            worker_table = rebuilt_cuts.__dict__.get("_function_table")
+            assert worker_table is not None
             assert np.array_equal(worker_table.inverse, parent_table.inverse)
             assert np.array_equal(worker_table.canon, parent_table.canon)
             assert np.array_equal(worker_table.cut_perm, parent_table.cut_perm)
@@ -571,10 +567,10 @@ class TestSharedMemoryTransport:
             mapped = real_map(aig, library, **kwargs)
             cut_set = cut_set_for(aig, kwargs["max_inputs"], kwargs["cut_limit"])
             refs.append(weakref.ref(cut_set))
-            for memo in ("_function_tables", "_match_tables"):
-                for entry in cut_set.__dict__.get(memo, {}).values():
-                    table = entry[1] if isinstance(entry, tuple) else entry
-                    refs.append(weakref.ref(table))
+            refs.append(weakref.ref(cut_set.__dict__["_function_table"]))
+            for entry in cut_set.__dict__.get("_match_tables", {}).values():
+                table = entry[1] if isinstance(entry, tuple) else entry
+                refs.append(weakref.ref(table))
             return mapped
 
         monkeypatch.setattr(engine_module, "technology_map", spying_map)

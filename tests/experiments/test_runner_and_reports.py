@@ -169,11 +169,23 @@ class TestRunnerCli:
         figure6 = json.loads((artifacts / "figure6.json").read_text())
         assert "userckt" not in figure6["series"]
 
-    def test_extra_benchmark_rejects_malformed_blif(self, tmp_path):
+    def test_extra_benchmark_rejects_malformed_blif(self, capsys, tmp_path):
         bad = tmp_path / "bad.blif"
         bad.write_text(".model broken\n.latch a b\n.end\n")
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exit_info:
             main(["--extra-benchmark", str(bad), "--no-cache"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"--extra-benchmark {bad}" in captured.err
+        assert captured.out == ""
+
+    def test_nonpositive_power_vectors_rejected_before_any_output(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["add-16", "--no-cache", "--power-vectors", "0"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "--power-vectors must be positive" in captured.err
+        assert captured.out == ""
 
 
 class TestReportDetails:

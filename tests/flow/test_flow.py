@@ -1,19 +1,8 @@
-"""Tests for the pass-based synthesis flow framework."""
+"""Tests for the built-in synthesis flows and their driver."""
 
 import pytest
 
-from repro.flow import (
-    FlowSpec,
-    FunctionPass,
-    available_flows,
-    available_passes,
-    flow_pass,
-    get_flow,
-    get_pass,
-    register_flow,
-    register_pass,
-    run_flow,
-)
+from repro.flow import FLOWS, PASSES, FlowSpec, available_flows, get_flow, run_flow
 from repro.logic.simulation import random_pattern_words
 from repro.synthesis import CircuitBuilder, optimize
 from repro.synthesis.optimize import balance, rewrite
@@ -43,46 +32,19 @@ def _shape(aig):
     )
 
 
-class TestRegistries:
-    def test_builtin_flows_registered(self):
-        assert {"none", "quick", "resyn2rs", "deep"} <= set(available_flows())
+class TestTables:
+    def test_builtin_flows(self):
+        assert set(available_flows()) == {"none", "quick", "resyn2rs", "deep"}
 
-    def test_builtin_passes_registered(self):
-        assert {"balance", "rewrite", "rewrite3", "rewrite5"} <= set(available_passes())
+    def test_builtin_flows_name_only_builtin_passes(self):
+        used = {name for spec in FLOWS.values() for name in spec.pass_names()}
+        assert used == set(PASSES) == {"balance", "rewrite", "rewrite3"}
 
     def test_unknown_names_raise_with_suggestions(self):
         with pytest.raises(KeyError, match="resyn2rs"):
             get_flow("not-a-flow")
         with pytest.raises(KeyError, match="balance"):
-            get_pass("not-a-pass")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError):
-            register_pass(FunctionPass("balance", balance))
-        with pytest.raises(ValueError):
-            register_flow(FlowSpec(name="quick"))
-
-    def test_flow_with_unknown_pass_rejected(self):
-        with pytest.raises(KeyError):
-            register_flow(FlowSpec(name="broken-test-flow", prologue=("no-such-pass",)))
-
-    def test_custom_pass_and_flow(self):
-        @flow_pass("double-rewrite-test", "rewrite twice (test-only)", replace=True)
-        def double_rewrite(aig):
-            return rewrite(rewrite(aig))
-
-        spec = register_flow(
-            FlowSpec(
-                name="custom-test-flow",
-                description="test-only",
-                prologue=("balance", "double-rewrite-test"),
-            ),
-            replace=True,
-        )
-        aig = _adder(4, "adder4")
-        result = spec.run(aig)
-        assert _equivalent(aig, result.aig)
-        assert [p.name for p in result.passes] == ["balance", "double-rewrite-test"]
+            FlowSpec(name="broken-test-flow", prologue=("no-such-pass",))
 
 
 class TestFlowExecution:
@@ -165,80 +127,3 @@ class TestTelemetry:
     def test_pass_names_in_first_use_order(self):
         assert get_flow("resyn2rs").pass_names() == ("balance", "rewrite")
         assert get_flow("deep").pass_names() == ("balance", "rewrite", "rewrite3")
-
-
-class TestMappingPass:
-    """Technology mapping as a flow pass (repro.flow.mapping)."""
-
-    def test_default_map_pass_registered(self):
-        assert "map" in available_passes()
-
-    def test_map_pass_records_result_and_preserves_the_network(self):
-        aig = _adder(width=5, name="map-flow")
-        spec = FlowSpec(
-            name="test-map-inline",
-            prologue=("balance",),
-            round_passes=("rewrite", "balance", "map"),
-            max_rounds=2,
-        )
-        register_flow(spec, replace=True)
-        result = run_flow("test-map-inline", aig)
-        assert result.mapped is not None
-        assert result.mapped.gate_count > 0
-        assert result.mapped.library_name == "cntfet-tg-static"
-        # Mapping is an observation: the flow's AIG is still equivalent.
-        assert _equivalent(aig, result.aig)
-        assert any(p.name == "map" for p in result.passes)
-
-    def test_map_pass_output_is_equivalent_to_its_subject(self):
-        # With the map pass as the only pass, the mapped netlist's node ids
-        # refer to the unmodified input AIG, so it can be formally verified
-        # against it.
-        from repro.synthesis.mapper import verify_mapping
-
-        aig = _adder(width=5, name="map-verify")
-        register_flow(FlowSpec(name="test-map-only", prologue=("map",)),
-                      replace=True)
-        result = run_flow("test-map-only", aig)
-        patterns = random_pattern_words(aig.pi_names, num_words=2, seed=9)
-        assert verify_mapping(result.mapped, aig, patterns)
-
-    def test_flow_without_map_pass_has_no_mapping(self):
-        result = run_flow("quick", _adder(width=4, name="no-map"))
-        assert result.mapped is None
-
-    def test_configured_mapping_pass(self):
-        from repro.core.families import LogicFamily
-        from repro.flow import mapping_pass
-
-        try:
-            mapping_pass(
-                "test-map-pseudo-area",
-                family=LogicFamily.TG_PSEUDO,
-                objective="area",
-                rounds=2,
-            )
-        except ValueError:
-            pass  # already registered by a previous test run in-process
-        register_flow(
-            FlowSpec(
-                name="test-map-pseudo",
-                prologue=("balance", "test-map-pseudo-area"),
-            ),
-            replace=True,
-        )
-        result = run_flow("test-map-pseudo", _adder(width=4, name="cfg"))
-        assert result.mapped.library_name == "cntfet-tg-pseudo"
-
-    def test_stale_mapping_does_not_leak_between_runs(self):
-        from repro.flow import get_pass
-
-        aig = _adder(width=4, name="stale")
-        register_flow(
-            FlowSpec(name="test-map-once", prologue=("map",)), replace=True
-        )
-        first = run_flow("test-map-once", aig)
-        assert first.mapped is not None
-        # A later flow NOT containing a map pass must not inherit the result.
-        second = run_flow("quick", aig)
-        assert second.mapped is None

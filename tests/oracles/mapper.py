@@ -7,15 +7,21 @@
   comparison *sequence* is the contract, not just the optimum.
 * :data:`SCALAR_BETTER` -- the scalar tie-break of every built-in cost
   model, the elementwise twin of ``CostModel.better_batch``.
+* :func:`full_resolve` -- makes every recovery re-solve of ``map_rounds``
+  run the DP from scratch; oracle of the incremental re-solve.
 * :func:`verify_mapping_reference` -- evaluates every mapped gate one
   pattern bit at a time; oracle of the word-parallel ``verify_mapping``.
 """
 
 from __future__ import annotations
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 
 from repro.core.library import GateLibrary
+from repro.synthesis import mapper
 from repro.synthesis.aig import Aig
 from repro.synthesis.cost import EPSILON, CostModel, MappingContext, MatchCandidate
 from repro.synthesis.mapper import (
@@ -192,6 +198,23 @@ def dp_round(
         arrival_list[node] = best_arrival
         flow_list[node] = best_flow
     return choices, arrival_list, flow_list
+
+
+@contextlib.contextmanager
+def full_resolve():
+    """Run every DP pass of ``map_rounds`` from scratch for the duration.
+
+    Binds :func:`repro.synthesis.mapper._dp_round_batched` to a wrapper that
+    drops the previous round's ``state=``, so recovery rounds re-solve every
+    node instead of diffing against the last solution.
+    """
+    batched = mapper._dp_round_batched
+
+    def from_scratch(*args, state=None, **kwargs):
+        return batched(*args, **kwargs)
+
+    with mock.patch.object(mapper, "_dp_round_batched", from_scratch):
+        yield
 
 
 def verify_mapping_reference(

@@ -11,8 +11,7 @@ from __future__ import annotations
 import heapq
 from unittest import mock
 
-from repro.flow.passes import _PASS_REGISTRY, FunctionPass
-from repro.flow.pipeline import FlowResult, get_flow
+from repro.flow import PASSES, FlowResult, get_flow
 from repro.synthesis.aig import (
     Aig,
     AigLiteral,
@@ -181,15 +180,12 @@ def rewrite_reference(
 
 
 def run_reference_flow(flow: str, aig: Aig) -> FlowResult:
-    """Run a registered flow with ``balance``/``rewrite`` bound to the oracles.
+    """Run a built-in flow with ``balance``/``rewrite`` bound to the oracles.
 
     The flow's own spec and driver run unchanged; only the two pass names
     resolve to :func:`balance_reference` / :func:`rewrite_reference` for the
     duration of the call, so the result is the flow's oracle twin.
     """
-    oracles = {
-        "balance": FunctionPass("balance", balance_reference),
-        "rewrite": FunctionPass("rewrite", rewrite_reference),
-    }
-    with mock.patch.dict(_PASS_REGISTRY, oracles):
+    oracles = {"balance": balance_reference, "rewrite": rewrite_reference}
+    with mock.patch.dict(PASSES, oracles):
         return get_flow(flow).run(aig)

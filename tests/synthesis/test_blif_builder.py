@@ -76,6 +76,42 @@ class TestBlifReader:
         with pytest.raises(BlifParseError):
             read_blif(".model x\n.inputs a b\n.outputs y\n.names a b y\n1 1 1\n.end")
 
+    def test_cover_mixing_on_and_off_set_rows_rejected(self):
+        # Read as one cover, the last row's value would turn this into XOR,
+        # contradicting the row ``11 1``.
+        with pytest.raises(BlifParseError, match="mixes on-set"):
+            read_blif(".model x\n.inputs a b\n.outputs y\n.names a b y\n11 1\n00 0\n.end")
+
+    def test_output_value_other_than_0_or_1_rejected(self):
+        with pytest.raises(BlifParseError, match="other than 0/1"):
+            read_blif(".model x\n.inputs a\n.outputs y\n.names a y\n1 2\n.end")
+
+    def test_signal_driven_twice_rejected(self):
+        with pytest.raises(BlifParseError, match="driven twice"):
+            read_blif(
+                ".model x\n.inputs a b\n.outputs y\n"
+                ".names a b y\n11 1\n.names a b y\n1- 1\n.end"
+            )
+
+    def test_names_driving_a_primary_input_rejected(self):
+        with pytest.raises(BlifParseError, match="primary input 'a'"):
+            read_blif(".model x\n.inputs a b\n.outputs y\n.names b a\n1 1\n"
+                      ".names a y\n1 1\n.end")
+
+    def test_cone_deeper_than_the_recursion_limit(self):
+        import sys
+
+        depth = sys.getrecursionlimit() + 100
+        lines = [".model chain", ".inputs a b", f".outputs s{depth}", ".names a b s0", "11 1"]
+        for index in range(1, depth + 1):
+            lines += [f".names s{index - 1} b s{index}", "10 1", "01 1"]
+        aig = read_blif("\n".join(lines))
+        # s_depth = (a & b) ^ b ^ b ^ ... (depth times).
+        for a in (False, True):
+            for b in (False, True):
+                want = (a and b) != (b and depth % 2 == 1)
+                assert aig.evaluate({"a": a, "b": b})[f"s{depth}"] is want
+
 
 class TestConstantCovers:
     """Constant ``.names`` drivers in every form tools emit them."""

@@ -14,8 +14,7 @@ These tests pin that contract:
 * ``_required_times`` edge cases (deadline below the worst arrival, nets
   outside the node range, empty covers);
 * the incremental recovery re-solve against the full re-solve
-  (``map_rounds(incremental=True)`` == ``incremental=False``), and the
-  registration contract that rejects cost models without batch hooks.
+  (``map_rounds`` as is == under ``tests.oracles.mapper.full_resolve``).
 """
 
 import hashlib
@@ -31,12 +30,7 @@ from repro.core import LogicFamily, build_library
 from repro.flow import run_flow
 from repro.synthesis.aig import Aig
 from repro.synthesis.aig_array import aig_arrays
-from repro.synthesis.cost import (
-    MappingContext,
-    available_objectives,
-    cost_model_for,
-    register_cost_model,
-)
+from repro.synthesis.cost import MappingContext, cost_model_for
 from repro.synthesis.cuts import cut_set_for
 from repro.synthesis.mapper import (
     _BatchedChoices,
@@ -49,7 +43,12 @@ from repro.synthesis.mapper import (
     map_rounds,
 )
 from repro.synthesis.matcher import matcher_for
-from tests.oracles.mapper import build_candidates, dp_round, price_candidates
+from tests.oracles.mapper import (
+    build_candidates,
+    dp_round,
+    full_resolve,
+    price_candidates,
+)
 
 FAST_BENCHMARKS = ("add-16", "t481")
 
@@ -277,14 +276,10 @@ class TestIncrementalEquivalence:
         incremental = map_rounds(
             aig, _LIBRARY, matcher=_MATCHER, objective=objective, rounds=3
         )
-        full = map_rounds(
-            aig,
-            _LIBRARY,
-            matcher=_MATCHER,
-            objective=objective,
-            rounds=3,
-            incremental=False,
-        )
+        with full_resolve():
+            full = map_rounds(
+                aig, _LIBRARY, matcher=_MATCHER, objective=objective, rounds=3
+            )
         assert incremental.accepted == full.accepted
         assert _round_digests(incremental) == _round_digests(full)
 
@@ -301,37 +296,9 @@ class TestIncrementalEquivalence:
         incremental = map_rounds(
             aig, _LIBRARY, matcher=_MATCHER, objective=objective, rounds=rounds
         )
-        full = map_rounds(
-            aig,
-            _LIBRARY,
-            matcher=_MATCHER,
-            objective=objective,
-            rounds=rounds,
-            incremental=False,
-        )
+        with full_resolve():
+            full = map_rounds(
+                aig, _LIBRARY, matcher=_MATCHER, objective=objective, rounds=rounds
+            )
         assert incremental.accepted == full.accepted
         assert _round_digests(incremental) == _round_digests(full)
-
-
-class _ScalarOnlyDelay:
-    """DelayCost semantics without the batch hooks the mapper calls."""
-
-    name = "delay-scalar-test"
-    prefer = "delay"
-
-    def gate_cost(self, candidate, node, context):
-        return candidate.area
-
-    def better(self, arrival, flow, best_arrival, best_flow):
-        return arrival < best_arrival - 1e-9 or (
-            abs(arrival - best_arrival) <= 1e-9 and flow < best_flow - 1e-9
-        )
-
-
-def test_models_without_batch_hooks_are_rejected():
-    """Registration states the contract: a model lacking price_batch /
-    better_batch raises TypeError and never becomes a mapping objective."""
-    model = _ScalarOnlyDelay()
-    with pytest.raises(TypeError, match="price_batch, better_batch"):
-        register_cost_model(model)
-    assert model.name not in available_objectives()

@@ -32,7 +32,6 @@ from repro.synthesis.cost import (
     AreaFlowCost,
     DelayCost,
     PowerFlowCost,
-    available_objectives,
     cost_model_for,
     resolve_recovery,
 )
@@ -481,7 +480,6 @@ def test_recovery_property_on_random_circuits(
 
 class TestCostModels:
     def test_registry_vocabulary(self):
-        assert set(available_objectives()) >= {"delay", "area", "power"}
         assert isinstance(cost_model_for("delay"), DelayCost)
         assert isinstance(cost_model_for("area"), AreaFlowCost)
         assert isinstance(cost_model_for("power"), PowerFlowCost)

@@ -48,11 +48,9 @@ def cmos_library():
 
 @pytest.fixture(scope="module")
 def matchers(tg_library, cmos_library):
-    """One matcher per (library, output-negation) combination."""
+    """One matcher per library."""
     return {
-        (library.name, flag): LibraryMatcher(library, allow_output_negation=flag)
-        for library in (tg_library, cmos_library)
-        for flag in (True, False)
+        library.name: LibraryMatcher(library) for library in (tg_library, cmos_library)
     }
 
 
@@ -98,14 +96,13 @@ class TestBatchedMatchParity:
     @given(
         batch=table_batches(),
         prefer=st.sampled_from(["delay", "area"]),
-        allow_negation=st.booleans(),
         library_name=st.sampled_from(["cntfet-tg-static", "cmos-static"]),
     )
     def test_match_positions_batch_equals_scalar(
-        self, matchers, batch, prefer, allow_negation, library_name
+        self, matchers, batch, prefer, library_name
     ):
         arity, tables = batch
-        matcher = matchers[(library_name, allow_negation)]
+        matcher = matchers[library_name]
         sizes = np.full(len(tables), arity, dtype=np.int64)
         values = np.array(tables, dtype=np.uint64)
         result = matcher.match_positions_batch(sizes, values, prefer)

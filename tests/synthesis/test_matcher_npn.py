@@ -108,22 +108,6 @@ class TestMatchEquivalence:
                     npn_matcher, exhaustive_matcher, n, variant.bits, "delay"
                 )
 
-    def test_np_only_mode_equivalent(self, tg_static_library):
-        npn = LibraryMatcher(tg_static_library, allow_output_negation=False)
-        exhaustive = ExhaustiveLibraryMatcher(
-            tg_static_library, allow_output_negation=False
-        )
-        rng = random.Random(25)
-        for _ in range(500):
-            num_vars = rng.randint(2, 4)
-            bits = rng.getrandbits(1 << num_vars)
-            ours = npn.match(num_vars, bits)
-            reference = exhaustive.match(num_vars, bits)
-            assert (ours is None) == (reference is None)
-            if ours is not None:
-                assert ours.cell.name == reference.cell.name
-                assert not ours.match.output_negated
-
     def test_match_reduced_equivalent(self, npn_matcher, exhaustive_matcher):
         # A 3-leaf cut whose function ignores the middle leaf: x0 & x2.
         table = 0
@@ -177,8 +161,5 @@ class TestMappingBitIdentity:
         matcher = matcher_for(tg_static_library)
         assert isinstance(matcher, LibraryMatcher)
         assert matcher_for(tg_static_library) is matcher
-        np_only = matcher_for(tg_static_library, allow_output_negation=False)
-        assert np_only is not matcher
-        assert not np_only.allow_output_negation
         with pytest.raises(TypeError):
             matcher_for(tg_static_library, style="exhaustive")
