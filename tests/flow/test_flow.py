@@ -46,6 +46,17 @@ class TestTables:
         with pytest.raises(KeyError, match="balance"):
             FlowSpec(name="broken-test-flow", prologue=("no-such-pass",))
 
+    def test_flow_with_unknown_round_pass_rejected(self):
+        with pytest.raises(KeyError, match="no-such-pass"):
+            FlowSpec(
+                name="broken-round-flow", round_passes=("no-such-pass",), max_rounds=1
+            )
+
+    @pytest.mark.parametrize("name", ("balance", "rewrite", "rewrite3"))
+    def test_every_pass_preserves_function(self, name):
+        aig = _adder(5, f"adder-pass-{name}")
+        assert _equivalent(aig, PASSES[name](aig))
+
 
 class TestFlowExecution:
     def test_resyn2rs_reproduces_optimize_exactly(self):

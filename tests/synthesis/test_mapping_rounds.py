@@ -484,6 +484,13 @@ class TestCostModels:
         assert isinstance(cost_model_for("area"), AreaFlowCost)
         assert isinstance(cost_model_for("power"), PowerFlowCost)
 
+    @pytest.mark.parametrize("objective", ("delay", "area", "power"))
+    def test_every_objective_provides_the_mapper_hooks(self, objective):
+        model = cost_model_for(objective)
+        assert model.name == objective
+        for hook in ("gate_cost", "price_batch", "better_batch"):
+            assert callable(getattr(model, hook, None)), hook
+
     def test_unknown_objective_rejected(self):
         with pytest.raises(ValueError):
             cost_model_for("energy")
