@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterable
 
 from repro.circuits.sizing import (
     PSEUDO_LOAD_WIDTH,
@@ -53,6 +54,9 @@ from repro.devices.transmission_gate import (
     pass_transistor_device,
     transmission_gate_devices,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.circuits.switch_sim import SwitchAnalysis
 
 VDD = "VDD"
 VSS = "VSS"
@@ -99,6 +103,16 @@ class CellNetlist:
     pu_network: SwitchNetwork | None
     input_signals: tuple[str, ...]
 
+    @cached_property
+    def switch_analysis(self) -> "SwitchAnalysis":
+        """The cell's switch-level analysis over every input assignment,
+        computed on first use and shared by simulation, delay and power
+        characterization (the import is local because the analysis builds
+        on this module)."""
+        from repro.circuits.switch_sim import SwitchAnalysis
+
+        return SwitchAnalysis(self)
+
     def devices_with_role(self, role: DeviceRole) -> tuple[Device, ...]:
         return tuple(device for device in self.devices if device.role is role)
 
@@ -127,19 +141,25 @@ class CellNetlist:
                 total += device.width
         return total
 
+    @cached_property
+    def _literal_loads(self) -> dict[Literal, float]:
+        """Gate + polarity-gate capacitance per literal wire, each device's
+        load added in device order, keyed in sorted literal order."""
+        totals: dict[Literal, float] = {}
+        for device in self.devices:
+            for literal, load in device.signal_loads().items():
+                totals[literal] = totals.get(literal, 0.0) + load
+        return dict(
+            sorted(totals.items(), key=lambda item: (item[0].name, item[0].negated))
+        )
+
     def signal_capacitance(self, literal: Literal) -> float:
         """Total gate + polarity-gate capacitance presented to one literal wire."""
-        total = 0.0
-        for device in self.devices:
-            total += device.signal_loads().get(literal, 0.0)
-        return total
+        return self._literal_loads.get(literal, 0.0)
 
     def input_literals(self) -> tuple[Literal, ...]:
         """Every distinct literal wire that loads at least one device gate."""
-        literals: set[Literal] = set()
-        for device in self.devices:
-            literals.update(device.signal_loads())
-        return tuple(sorted(literals, key=lambda lit: (lit.name, lit.negated)))
+        return tuple(self._literal_loads)
 
 
 class _NodeNamer:

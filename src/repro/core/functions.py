@@ -16,7 +16,7 @@ to polarity gates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from repro.logic.expr import Expr, parse_expr
 from repro.logic.truth_table import TruthTable
@@ -29,8 +29,9 @@ class FunctionSpec:
     function_id: str
     expression_text: str
 
-    @property
+    @cached_property
     def expression(self) -> Expr:
+        """The parsed expression (parsed once per spec)."""
         return parse_expr(self.expression_text)
 
     @property

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from repro import obs
 from repro.core.cell import LibraryCell
 from repro.core.families import LogicFamily, build_family_cells
 
@@ -101,6 +102,14 @@ def build_library(
     verify: bool = True,
     function_ids: tuple[str, ...] | None = None,
 ) -> GateLibrary:
-    """Build (and cache) the characterized library of a logic family."""
-    cells = build_family_cells(family, function_ids=function_ids, verify=verify)
+    """Build (and cache) the characterized library of a logic family.
+
+    Each build is one ``characterize`` stage span, power included: the power
+    model reads the switch-level solves the delay model already made, so it
+    is characterized here rather than on first use.
+    """
+    with obs.stage("characterize", family=family.value):
+        cells = build_family_cells(family, function_ids=function_ids, verify=verify)
+        for cell in cells:
+            cell.power
     return GateLibrary(family=family, cells=cells)

@@ -246,9 +246,9 @@ def span(name: str, category: str = "task", **attributes) -> Iterator[SpanHandle
         _close_span(record, started)
 
 
-def stage(name: str) -> ContextManager[SpanHandle]:
+def stage(name: str, **attributes) -> ContextManager[SpanHandle]:
     """A ``stage``-category span around one pipeline stage."""
-    return span(name, "stage")
+    return span(name, "stage", **attributes)
 
 
 def count(name: str, value: float = 1) -> None:

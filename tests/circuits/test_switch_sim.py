@@ -17,7 +17,6 @@ from repro.circuits import (
     network_from_expr,
     simulate_cell,
 )
-from repro.circuits.switch_sim import verify_cell_function
 from repro.logic import parse_expr
 
 TABLE1_SAMPLE = [
@@ -40,6 +39,18 @@ TABLE1_SAMPLE = [
     "(A ^ D) | ((B ^ E) & (C ^ F))",
     "(A ^ D) & (B ^ E) & (C ^ F)",
 ]
+
+
+def verify_cell_function(netlist, expected_output):
+    """Simulate a cell and assert its output function is ``expected_output``
+    (over the netlist's sorted input signal order)."""
+    result = simulate_cell(netlist)
+    if result.output_table != expected_output:
+        raise AssertionError(
+            f"cell {netlist.name!r} computes {result.output_table} "
+            f"but {expected_output} was expected"
+        )
+    return result
 
 
 def _expected_output(expr_text):

@@ -32,6 +32,18 @@ SUBSET = ("add-16",)
 FAMILIES = (LogicFamily.TG_STATIC, LogicFamily.CMOS)
 
 
+#: ``library_fingerprint`` of every family, pinned: the characterized cells
+#: (Table-2 values, power model) and with them every cache key must not move
+#: unless a change means to.
+PINNED_LIBRARY_FINGERPRINTS = {
+    LogicFamily.TG_STATIC: "37310f4ebb69efc818d081d059bf5ea670b56fdcf786be7d499c75eb6136f453",
+    LogicFamily.TG_PSEUDO: "92030a56a423a4d6a00ef115bce9d7c35fb4dfa5856fa5dfb0f43da8666b932e",
+    LogicFamily.PASS_STATIC: "ef3370b6c94c075cd2a8275b6e1c6f0ae441916d30dd73c348d8deeab4a26b28",
+    LogicFamily.PASS_PSEUDO: "71ce04360bb51fc5ccf87918ab787638f482a1dbfbabd246402d0061631969f1",
+    LogicFamily.CMOS: "dcb12d5927da57f181ad6ed2bd0144d256111a62d808a777c9285f6c90690063",
+}
+
+
 def _jobs():
     return [MapJob("add-16", family) for family in FAMILIES]
 
@@ -58,6 +70,12 @@ class TestFingerprints:
         cmos = library_fingerprint(build_library(LogicFamily.CMOS))
         assert static != cmos
         assert static == library_fingerprint(build_library(LogicFamily.TG_STATIC))
+
+    @pytest.mark.parametrize("family", list(LogicFamily), ids=lambda f: f.value)
+    def test_library_fingerprints_are_pinned(self, family):
+        assert library_fingerprint(build_library(family)) == (
+            PINNED_LIBRARY_FINGERPRINTS[family]
+        )
 
     def test_job_keys_separate_by_family_and_objective(self, tmp_path):
         engine = ExperimentEngine(cache_dir=tmp_path)

@@ -15,11 +15,14 @@ import pytest
 
 from repro import obs
 from repro.core.families import LogicFamily
+from repro.core.library import build_library
 from repro.experiments import faults
 from repro.experiments.engine import ExperimentEngine, MapJob
 from repro.experiments.faults import FaultPlan
 from repro.experiments.resilience import RetryPolicy, run_resilient
 from repro.experiments.runner import main
+from repro.experiments.table2 import TABLE2_FAMILIES
+from repro.experiments.table3 import TABLE3_FAMILIES
 from tests.experiments.test_resilience import _crash_in_pool_workers
 
 #: Small-but-parallel workload: four independent jobs on the fast adder.
@@ -339,6 +342,32 @@ class TestRunnerExporters:
         assert {"cuts", "match", "cover", "power"} <= set(report["stage_entries"])
         assert report["stage_entries"]["match"] > 0
         assert report["stage_totals_ms"]["match"] > 0
+
+    def test_metrics_out_attributes_characterization(self, tmp_path):
+        # Libraries are memoized per process: forget them so this run builds
+        # every family it needs, each under one ``characterize`` stage.
+        build_library.cache_clear()
+        metrics_path = tmp_path / "metrics.json"
+        trace_path = tmp_path / "trace.json"
+        self._run(
+            tmp_path,
+            "--no-cache",
+            "--metrics-out",
+            str(metrics_path),
+            "--trace",
+            str(trace_path),
+        )
+        built = {family.value for family in TABLE2_FAMILIES + TABLE3_FAMILIES}
+        report = json.loads(metrics_path.read_text())
+        assert report["stage_entries"]["characterize"] == len(built)
+        assert report["stage_totals_ms"]["characterize"] > 0
+        events = json.loads(trace_path.read_text())["traceEvents"]
+        families = [
+            event["args"]["family"]
+            for event in events
+            if event["ph"] == "X" and event["name"] == "characterize"
+        ]
+        assert sorted(families) == sorted(built)
 
     @pytest.mark.parametrize("flag", [["--profile"], ["--profile-out", "p.json"]])
     def test_profile_flags_are_rejected(self, flag, capsys):

@@ -17,4 +17,6 @@ bit for bit.
 * :mod:`tests.oracles.activity` -- one-assignment-at-a-time signal
   probabilities;
 * :mod:`tests.oracles.npn` -- brute-force NPN canonicalization.
+* :mod:`tests.oracles.switch` -- the one-assignment-at-a-time switch-level
+  simulation, delay and power solver.
 """
