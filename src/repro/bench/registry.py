@@ -163,8 +163,10 @@ def register_blif_benchmark(
     The file is parsed eagerly so malformed input fails at registration
     rather than mid-experiment, and the recorded I/O counts describe the
     actual circuit.  The registered generator re-reads the file on every
-    build, matching the pure-function contract the engine's caching
-    assumes (the cache key hashes the AIG structure, not the path).
+    build.  The file lies outside the package source that keys the
+    built-in benchmarks, so the engine keys its jobs on the structure of
+    the AIG built from it, not on its name or path: an edited file misses
+    the cache, and a renamed one still hits.
     """
     from pathlib import Path
 

@@ -24,9 +24,10 @@ the single scheduling/caching layer behind :mod:`repro.experiments.table2`,
   batch end.  The chaos harness (:mod:`repro.experiments.faults`) injects
   deterministic worker kills / delays / attach failures to prove all of
   this keeps artifacts bit-identical.
-* **Content-addressed caching.**  Each job result is memoized in an
-  on-disk JSON cache keyed by a SHA-256 hash of the subject AIG structure,
-  the characterized library and the flow parameters.  The store is safe
+* **Recipe-keyed caching.**  Each job result is memoized in an on-disk
+  JSON cache keyed by a SHA-256 hash of the job's recipe (family,
+  benchmark, flow spec, job parameters) and :func:`source_digest`, so a
+  key builds nothing and a warm run is a cache read.  The store is safe
   for concurrent runners: two-level sharded directories, unique
   ``mkstemp`` staging with atomic ``os.replace`` commits under an advisory
   per-entry lock, per-entry payload checksums verified on read,
@@ -45,6 +46,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import tempfile
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
@@ -58,9 +60,12 @@ try:  # advisory file locking; absent on non-POSIX platforms
 except ImportError:  # pragma: no cover - POSIX-only dependency
     fcntl = None  # type: ignore[assignment]
 
+import numpy
+
+import repro
 from repro.analysis.activity import DEFAULT_SEED, DEFAULT_VECTORS, compute_activities
 from repro.analysis.power import analyze_power
-from repro.bench.registry import benchmark_by_name
+from repro.bench.registry import BENCHMARKS, benchmark_by_name
 from repro.core.characterize import (
     CellCharacterization,
     FamilySummary,
@@ -92,19 +97,9 @@ from repro.synthesis.cuts import (
 from repro.synthesis.mapper import technology_map
 from repro.synthesis.matcher import matcher_for
 
-#: Bump when the meaning of cached payloads changes; old entries are then
-#: treated as misses and recomputed.  Schema 2: mapping jobs are keyed by
-#: synthesis-flow name + flow fingerprint.
-#: Schema 3: mapping payloads grow the power axis (dynamic + static power of
-#: the mapped netlist), keyed additionally by the Monte-Carlo activity
-#: parameters (``power_vectors``/``power_seed``) and by the cells' power
-#: characterization via the extended library fingerprint.  Schema 4:
-#: mapping jobs carry the multi-round recovery knobs (``rounds`` /
-#: ``recovery``), both folded into the key so recovered results never
-#: satisfy round-0 requests (or vice versa).  Schema 5: the hardened
-#: multi-process store -- entries live in two-level shard directories and
-#: carry a sha256 payload checksum verified on read; pre-shard flat
-#: entries are simply never found at the sharded paths.
+#: On-disk entry-format tag of :class:`ResultCache` (sharded paths, payload
+#: checksum); what a payload means is covered by :func:`source_digest` in
+#: every key, so behaviour changes no longer bump it.
 CACHE_SCHEMA = 5
 
 
@@ -167,11 +162,36 @@ def library_fingerprint(library: GateLibrary) -> str:
     return digest.hexdigest()
 
 
-# Process-lifetime, keyed by the finite family registry.
 @lru_cache(maxsize=None)
-def _family_fingerprint(family: LogicFamily) -> str:
-    """Per-family memo of :func:`library_fingerprint` (libraries are cached)."""
-    return library_fingerprint(build_library(family))
+def source_digest() -> str:
+    """SHA-256 of the ``repro`` source, the Python minor and numpy versions.
+
+    Hashes the package-relative path and bytes of every ``*.py`` under the
+    package, so any edit to the code that computes a payload changes every
+    cache key, while an identical tree at another path keeps them.
+    Computed once per process, at the first key.
+    """
+    root = Path(repro.__file__).parent
+    digest = hashlib.sha256()
+    digest.update(repr((tuple(sys.version_info[:2]), numpy.__version__)).encode())
+    sources = {path.relative_to(root).as_posix(): path for path in root.rglob("*.py")}
+    for relative in sorted(sources):
+        content = sources[relative].read_bytes()
+        digest.update(f"{relative}:{len(content)};".encode())
+        digest.update(content)
+    return digest.hexdigest()
+
+
+#: Registration rejects these names, so they always denote built-in cases.
+_BUILTIN_NAMES = frozenset(case.name for case in BENCHMARKS)
+
+
+def _benchmark_recipe(name: str) -> dict:
+    """A built-in case's name (its generator is in :func:`source_digest`),
+    else the structure of the AIG a run-time registration builds."""
+    if name in _BUILTIN_NAMES:
+        return {"builtin": name}
+    return {"aig": aig_fingerprint(benchmark_by_name(name).build())}
 
 
 @dataclass(frozen=True)
@@ -511,8 +531,10 @@ def _subject_aig(benchmark: str, flow: str) -> Aig:
                 "register_benchmark) must come from an imported module (or "
                 "use jobs=1) for parallel runs on spawn-based platforms"
             ) from error
+        with obs.stage("build", benchmark=benchmark):
+            subject = case.build()
         with obs.stage("optimize"):
-            cached = run_flow(flow, case.build()).aig
+            cached = run_flow(flow, subject).aig
         _OPTIMIZED_AIGS[key] = cached
     return cached
 
@@ -808,16 +830,14 @@ class ExperimentEngine:
 
     # -- mapping jobs (Table 3 / Figure 6) ----------------------------------
 
-    def map_job_key(self, job: MapJob, aig: Aig | None = None) -> str:
-        """Content-addressed cache key of one mapping job."""
-        if aig is None:
-            aig = benchmark_by_name(job.benchmark).build()
+    def map_job_key(self, job: MapJob) -> str:
+        """Cache key of one mapping job, from its recipe (nothing is built)."""
         material = json.dumps(
             {
-                "schema": CACHE_SCHEMA,
                 "kind": "map",
-                "aig": aig_fingerprint(aig),
-                "library": _family_fingerprint(job.family),
+                "source": source_digest(),
+                "benchmark": _benchmark_recipe(job.benchmark),
+                "family": job.family.value,
                 "objective": job.objective,
                 "flow": job.flow,
                 "flow_spec": get_flow(job.flow).fingerprint(),
@@ -834,12 +854,7 @@ class ExperimentEngine:
 
     def run_map_jobs(self, jobs: Sequence[MapJob]) -> dict[MapJob, MapJobResult]:
         """Run mapping jobs (cache first, then processes) and decode results."""
-        subject_aigs: dict[str, Aig] = {}
-        keys: dict[MapJob, str] = {}
-        for job in jobs:
-            if job.benchmark not in subject_aigs:
-                subject_aigs[job.benchmark] = benchmark_by_name(job.benchmark).build()
-            keys[job] = self.map_job_key(job, subject_aigs[job.benchmark])
+        keys = {job: self.map_job_key(job) for job in jobs}
         handles: dict[tuple[str, str, int, int], shm.SubjectHandle] = {}
 
         def subject_of(job: MapJob) -> tuple[str, str, int, int]:
@@ -896,9 +911,13 @@ class ExperimentEngine:
             # The single release point of the batch's memos in the parent:
             # the cut sets (the largest per-run allocations, with their
             # function/match/candidate tables) and array views are stripped
-            # from the AIGs pinned by _OPTIMIZED_AIGS -- the AIGs themselves
-            # stay cached for later batches.
+            # from the AIGs pinned by _OPTIMIZED_AIGS.  Built-in subjects
+            # stay cached for later batches; a run-time registration's file
+            # or generator may change before the next batch, so its
+            # subjects are dropped.
             _ACTIVITY_REPORTS.clear()
+            for key in [key for key in _OPTIMIZED_AIGS if key[0] not in _BUILTIN_NAMES]:
+                del _OPTIMIZED_AIGS[key]
             for aig in _OPTIMIZED_AIGS.values():
                 aig.__dict__.pop("_cut_sets", None)
                 aig.__dict__.pop("_array_view", None)
@@ -981,9 +1000,9 @@ class ExperimentEngine:
     def characterization_job_key(self, job: CharacterizationJob) -> str:
         material = json.dumps(
             {
-                "schema": CACHE_SCHEMA,
                 "kind": "table2",
-                "library": _family_fingerprint(job.family),
+                "family": job.family.value,
+                "source": source_digest(),
             },
             sort_keys=True,
         )

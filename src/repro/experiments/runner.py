@@ -18,10 +18,10 @@ Scheduling goes through the parallel experiment engine
     Disable the content-addressed on-disk result cache.  By default every
     job result is memoized under ``$REPRO_CACHE_DIR`` (falling back to
     ``$XDG_CACHE_HOME/repro/experiments``, then
-    ``~/.cache/repro/experiments``), keyed by a SHA-256 hash of the subject
-    AIG, the characterized library and the flow parameters, so re-runs on
-    unchanged inputs are nearly free.  ``--cache-dir PATH`` relocates the
-    cache.
+    ``~/.cache/repro/experiments``), keyed by a SHA-256 hash of the job's
+    recipe (benchmark, family, flow and job parameters) and of the
+    package source, so re-runs on unchanged inputs build nothing and are
+    nearly free.  ``--cache-dir PATH`` relocates the cache.
 
 ``--json DIR``
     Additionally write machine-readable ``table2.json`` / ``table3.json`` /

@@ -130,6 +130,115 @@ class TestFingerprints:
         assert engine.map_job_key(job) == before
 
 
+#: Prints the cache keys of a few map jobs and of every characterization
+#: job, computed by whichever ``repro`` tree is first on ``PYTHONPATH``.
+_KEYS_SCRIPT = """
+import json
+from repro.core.families import LogicFamily
+from repro.experiments.engine import CharacterizationJob, ExperimentEngine, MapJob
+
+engine = ExperimentEngine(use_cache=False)
+keys = [
+    engine.map_job_key(MapJob(name, family))
+    for name in ("add-16", "t481")
+    for family in (LogicFamily.TG_STATIC, LogicFamily.CMOS)
+]
+keys += [engine.characterization_job_key(CharacterizationJob(f)) for f in LogicFamily]
+print(json.dumps(keys))
+"""
+
+
+def _keys_under(src_root: Path) -> list[str]:
+    """The job keys computed in a fresh interpreter importing ``src_root``."""
+    completed = subprocess.run(
+        [sys.executable, "-c", _KEYS_SCRIPT],
+        env={**os.environ, "PYTHONPATH": str(src_root)},
+        cwd=src_root,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(completed.stdout.splitlines()[-1])
+
+
+class TestRecipeKeys:
+    """Keys hash recipes plus the package source digest, never products."""
+
+    def test_source_edit_changes_every_key(self, tmp_path):
+        import shutil
+
+        import repro
+
+        package = Path(repro.__file__).parent
+        parent_keys = _keys_under(package.parent)
+        assert len(set(parent_keys)) == len(parent_keys)
+
+        copy = tmp_path / "elsewhere"
+        shutil.copytree(
+            package, copy / "repro", ignore=shutil.ignore_patterns("__pycache__")
+        )
+        # A byte-identical tree at another path: the digest hashes
+        # package-relative paths, so every key is unchanged.
+        assert _keys_under(copy) == parent_keys
+
+        mapper = copy / "repro" / "synthesis" / "mapper.py"
+        source = mapper.read_text()
+        assert "_RECOVERY_RETRIES = 3\n" in source
+        mapper.write_text(
+            source.replace("_RECOVERY_RETRIES = 3\n", "_RECOVERY_RETRIES = 4\n")
+        )
+        edited_keys = _keys_under(copy)
+        assert not set(edited_keys) & set(parent_keys)
+
+    def test_builtin_keys_build_nothing(self, tmp_path, monkeypatch):
+        from repro.bench.registry import BenchmarkCase
+        from repro.experiments import engine as engine_module
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a cache key must not build its subject")
+
+        monkeypatch.setattr(BenchmarkCase, "build", forbidden)
+        monkeypatch.setattr(engine_module, "build_library", forbidden)
+        engine = ExperimentEngine(cache_dir=tmp_path)
+        for family in LogicFamily:
+            engine.map_job_key(MapJob("add-16", family))
+            engine.characterization_job_key(CharacterizationJob(family))
+
+    def test_replaced_registration_changes_the_key(self, tmp_path):
+        from repro.bench.registry import (
+            BenchmarkCase,
+            register_benchmark,
+            unregister_benchmark,
+        )
+
+        def case_of(width):
+            def generator():
+                return benchmark_by_name(f"add-{width}").generator()
+
+            return BenchmarkCase(
+                name="custom-adder",
+                function="adder",
+                paper_inputs=0,
+                paper_outputs=0,
+                exact=True,
+                generator=generator,
+                xor_rich=True,
+            )
+
+        engine = ExperimentEngine(cache_dir=tmp_path)
+        job = MapJob("custom-adder", LogicFamily.TG_STATIC)
+        try:
+            register_benchmark(case_of(16))
+            first = engine.map_job_key(job)
+            assert engine.map_job_key(job) == first
+            register_benchmark(case_of(32), replace=True)
+            assert engine.map_job_key(job) != first
+            register_benchmark(case_of(16), replace=True)
+            assert engine.map_job_key(job) == first
+        finally:
+            unregister_benchmark("custom-adder")
+
+
 class TestCache:
     def test_miss_then_hit(self, tmp_path):
         engine = ExperimentEngine(cache_dir=tmp_path)

@@ -369,6 +369,43 @@ class TestRunnerExporters:
         ]
         assert sorted(families) == sorted(built)
 
+    def test_cold_run_builds_each_benchmark_once(self, tmp_path, monkeypatch):
+        # Keys hash recipes, so only the subject preparation builds a
+        # benchmark, once, under one ``build`` stage; a run over the cache
+        # that run filled builds and characterizes nothing.
+        from repro.bench.registry import BenchmarkCase
+        from repro.experiments import engine as engine_module
+
+        def forget_memos():
+            monkeypatch.setattr(engine_module, "_OPTIMIZED_AIGS", {})
+            build_library.cache_clear()
+
+        builds = []
+        build = BenchmarkCase.build
+
+        def counted_build(case):
+            builds.append(case.name)
+            return build(case)
+
+        monkeypatch.setattr(BenchmarkCase, "build", counted_build)
+        forget_memos()
+        metrics_path = tmp_path / "metrics.json"
+        argv = ["add-16", "t481", "--cache-dir", str(tmp_path / "cache"),
+                "--metrics-out", str(metrics_path)]
+        assert main([*argv, "--no-cache"]) == 0
+        report = json.loads(metrics_path.read_text())
+        assert report["stage_entries"]["build"] == 2
+        assert sorted(builds) == ["add-16", "t481"]
+
+        assert main(argv) == 0  # fills the shared cache
+        forget_memos()
+        builds.clear()
+        assert main(argv) == 0
+        report = json.loads(metrics_path.read_text())
+        assert "build" not in report["stage_entries"]
+        assert "characterize" not in report["stage_entries"]
+        assert builds == []
+
     @pytest.mark.parametrize("flag", [["--profile"], ["--profile-out", "p.json"]])
     def test_profile_flags_are_rejected(self, flag, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -6,7 +6,14 @@ import pytest
 
 from repro.experiments.runner import main
 from repro.experiments.report import render_table2
-from repro.experiments.table2 import run_table2
+from repro.experiments.table2 import TABLE2_FAMILIES, run_table2
+from repro.experiments.table3 import TABLE3_FAMILIES
+
+
+def _cache_stats(out: str) -> dict:
+    """The result-cache counters printed by ``--cache-stats``."""
+    blob = out.split("robustness counters:", 1)[1]
+    return json.loads(blob[: blob.index("\n}") + 2])["cache"]
 
 
 class TestRunnerCli:
@@ -169,6 +176,44 @@ class TestRunnerCli:
         figure6 = json.loads((artifacts / "figure6.json").read_text())
         assert "userckt" not in figure6["series"]
 
+    def test_edited_extra_benchmark_misses_the_cache(self, capsys, tmp_path):
+        # An external BLIF lies outside the digested package source, so its
+        # jobs are keyed on the circuit it builds: an edit under the same
+        # name misses, an unedited rerun hits.
+        from repro.bench.registry import benchmark_by_name, unregister_benchmark
+        from repro.synthesis.blif import write_blif
+
+        blif = tmp_path / "userckt.blif"
+        artifacts = tmp_path / "artifacts"
+        map_jobs = len(TABLE3_FAMILIES)
+
+        def run():
+            try:
+                assert main(
+                    ["userckt", "--extra-benchmark", str(blif),
+                     "--cache-dir", str(tmp_path / "cache"), "--cache-stats",
+                     "--json", str(artifacts)]
+                ) == 0
+            finally:
+                unregister_benchmark("userckt")
+            row = json.loads((artifacts / "table3.json").read_text())["rows"][0]
+            return _cache_stats(capsys.readouterr().out), row
+
+        blif.write_text(write_blif(benchmark_by_name("add-16").build()))
+        cold, first = run()
+        assert cold["misses"] == len(TABLE2_FAMILIES) + map_jobs
+        unedited, again = run()
+        assert (unedited["hits"], unedited["misses"]) == (
+            len(TABLE2_FAMILIES) + map_jobs, 0
+        )
+        assert again == first
+        blif.write_text(write_blif(benchmark_by_name("t481").build()))
+        edited, row = run()
+        assert (edited["hits"], edited["misses"]) == (len(TABLE2_FAMILIES), map_jobs)
+        # The misses were mapped from the edited file, not a memo of the
+        # first version.
+        assert row["aig_nodes"] != first["aig_nodes"]
+
     def test_extra_benchmark_rejects_malformed_blif(self, capsys, tmp_path):
         bad = tmp_path / "bad.blif"
         bad.write_text(".model broken\n.latch a b\n.end\n")
@@ -186,6 +231,38 @@ class TestRunnerCli:
         captured = capsys.readouterr()
         assert "--power-vectors must be positive" in captured.err
         assert captured.out == ""
+
+
+class TestWarmRun:
+    @pytest.mark.slow
+    def test_warm_full_run_builds_nothing(self, capsys, tmp_path, monkeypatch):
+        # Every key hashes a recipe, never a built product, so a run over a
+        # filled cache characterizes no library and builds no benchmark.
+        from repro.bench.registry import BENCHMARKS, BenchmarkCase
+        from repro.experiments import engine as engine_module
+
+        cache = str(tmp_path / "cache")
+        assert main(["--cache-dir", cache]) == 0
+        capsys.readouterr()
+
+        calls = {"build": 0, "build_library": 0}
+        build, build_library = BenchmarkCase.build, engine_module.build_library
+
+        def counted_build(case):
+            calls["build"] += 1
+            return build(case)
+
+        def counted_build_library(family):
+            calls["build_library"] += 1
+            return build_library(family)
+
+        monkeypatch.setattr(BenchmarkCase, "build", counted_build)
+        monkeypatch.setattr(engine_module, "build_library", counted_build_library)
+        assert main(["--cache-dir", cache, "--cache-stats"]) == 0
+        stats = _cache_stats(capsys.readouterr().out)
+        assert calls == {"build": 0, "build_library": 0}
+        jobs = len(TABLE2_FAMILIES) + len(BENCHMARKS) * len(TABLE3_FAMILIES)
+        assert (stats["hits"], stats["misses"]) == (jobs, 0)
 
 
 class TestReportDetails:
